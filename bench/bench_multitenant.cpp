@@ -1,30 +1,24 @@
-// Multi-tenant serving bench: does digest-affinity sharding keep
-// per-worker table caches warm under a realistic skewed tenant mix?
+// Multi-tenant serving bench: many tenants' DeepN encodes through one
+// service under a realistic skewed tenant mix.
 //
 // Load: N registry tenants (distinct base quantization-table pairs), each
 // requested at two qualities — 2N distinct encode configurations — drawn
 // from a Zipf-skewed, LCG-seeded schedule (a few tenants dominate, a long
-// tail trickles, exactly like production multi-tenancy). The per-worker
-// scaled-table LRU is deliberately smaller than the number of live
-// configurations, so scheduling decides whether workers keep re-deriving
-// tables and quantization state or reuse them.
+// tail trickles, exactly like production multi-tenancy). The scaled-table
+// LRU is smaller than the number of live configurations, so the table
+// hit rate and context rebuilds show how much work the mix re-derives.
 //
 // Scenarios (one row each in BENCH_multitenant.json):
-//   * sharded       — digest-affinity sharding + work stealing (the
-//     default service configuration): each worker's shard sees a stable
-//     slice of the configuration space.
-//   * unsharded     — same worker count, one shared queue: every worker
-//     sees every configuration and the small LRUs thrash.
-//   * single-thread — one worker, the no-concurrency reference.
+//   * multi-worker          — kWorkers workers on the default service
+//     configuration.
+//   * single-thread         — one worker, the no-concurrency reference.
+//   * multi-worker-obs-full — multi-worker with every request traced.
 //
-// The scheduling contract is a gate, not an observation: every payload
-// from every scenario is checked against an expectation computed upfront
-// with direct synchronous jpeg::encode calls under the registry's own
-// entry (so sharded == unsharded == single-thread == synchronous, byte
-// for byte), and the bench exits non-zero on any mismatch.
-//
-// Headline numbers (stamped as top-level JSON fields): the table-cache
-// hit-rate delta and the context-rebuild delta, sharded vs unsharded.
+// The serving contract is a gate, not an observation: every payload from
+// every scenario is checked against an expectation computed upfront with
+// direct synchronous jpeg::encode calls under the registry's own entry
+// (so multi-worker == single-thread == synchronous, byte for byte), and
+// the bench exits non-zero on any mismatch.
 //
 // Usage: bench_multitenant [corpus_images] [requests_per_client]
 //   corpus_images       — distinct 32x32 images cycled through (default 24)
@@ -60,8 +54,7 @@ constexpr int kTenants = 12;
 constexpr int kQualities[2] = {40, 75};
 constexpr int kClients = 8;
 constexpr int kWorkers = 8;
-/// Per-worker scaled-table LRU capacity: well under the 24 live
-/// configurations, so only affinity keeps a worker's cache warm.
+/// Scaled-table LRU capacity: well under the 24 live configurations.
 constexpr std::size_t kTableCache = 6;
 
 /// One request form: a reusable request plus the digest of its expected
@@ -81,7 +74,6 @@ std::uint64_t lcg(std::uint64_t& state) {
 struct ScenarioResult {
   std::string name;
   int workers = 1;
-  bool sharded = false;
   double seconds = 0.0;
   std::size_t ok = 0;
   bool identical = true;
@@ -101,9 +93,8 @@ ScenarioResult run_scenario(const std::string& name, const serve::ServiceConfig&
     threads.emplace_back([&, c] {
       const std::size_t ci = static_cast<std::size_t>(c);
       // Open loop: fire the whole load first (blocking admission applies
-      // backpressure at the queue), settle afterwards. Keeping the shard
-      // queues deep is the point — affinity is a statement about what a
-      // worker drains from a backlog, not about an idle service.
+      // backpressure at the queue), settle afterwards, so workers drain a
+      // deep backlog rather than an idle queue.
       std::vector<std::pair<std::future<serve::Response>, std::size_t>> inflight;
       inflight.reserve(static_cast<std::size_t>(per_client));
       for (int i = 0; i < per_client; ++i) {
@@ -130,7 +121,6 @@ ScenarioResult run_scenario(const std::string& name, const serve::ServiceConfig&
   ScenarioResult res;
   res.name = name;
   res.workers = cfg.workers;
-  res.sharded = cfg.shard_by_digest;
   res.seconds = std::chrono::duration<double>(t1 - t0).count();
   for (int c = 0; c < kClients; ++c) {
     res.ok += ok[static_cast<std::size_t>(c)];
@@ -236,40 +226,28 @@ int main(int argc, char** argv) {
 
   serve::ServiceConfig base_cfg;
   base_cfg.workers = kWorkers;
-  // Capacity splits per shard, and the Zipf-hot shard must be able to hold
-  // its whole (majority) share of the backlog — a tight queue would block
-  // producers on the hot shard while the cold shards starve, and the
-  // resulting steal storm would measure the queue bound, not affinity.
-  base_cfg.queue_capacity = static_cast<std::size_t>(kClients) *
-                            static_cast<std::size_t>(per_client) *
-                            static_cast<std::size_t>(kWorkers);
+  // The queue holds the whole open-loop load, so producers never block.
+  base_cfg.queue_capacity =
+      static_cast<std::size_t>(kClients) * static_cast<std::size_t>(per_client);
   base_cfg.max_batch = 8;
   base_cfg.cache_capacity = 0;  // measure encodes, not result-cache replay
   base_cfg.table_cache_capacity = kTableCache;
   base_cfg.registry = registry;
 
   std::vector<ScenarioResult> results;
-  {
-    serve::ServiceConfig cfg = base_cfg;  // shard_by_digest/steal default on
-    results.push_back(run_scenario("sharded", cfg, forms, schedule, per_client));
-  }
-  {
-    serve::ServiceConfig cfg = base_cfg;
-    cfg.shard_by_digest = false;
-    results.push_back(run_scenario("unsharded", cfg, forms, schedule, per_client));
-  }
+  results.push_back(run_scenario("multi-worker", base_cfg, forms, schedule, per_client));
   {
     serve::ServiceConfig cfg = base_cfg;
     cfg.workers = 1;
     results.push_back(run_scenario("single-thread", cfg, forms, schedule, per_client));
   }
   {
-    // Observability overhead on the default (sharded) configuration with
-    // every request traced — the tenant-skewed load is the worst case for
+    // Observability overhead on the multi-worker configuration with every
+    // request traced — the tenant-skewed load is the worst case for
     // tracing because per-job spans ride every batch. The identity gate
     // applies to this row like any other: tracing must not move a byte.
     obs::Tracer::instance().set_sample_every(1);
-    results.push_back(run_scenario("sharded-obs-full", base_cfg, forms, schedule,
+    results.push_back(run_scenario("multi-worker-obs-full", base_cfg, forms, schedule,
                                    per_client));
     obs::Tracer::instance().set_sample_every(0);
   }
@@ -283,10 +261,10 @@ int main(int argc, char** argv) {
   json.field("clients", kClients);
   json.field("requests_per_client", per_client);
   json.field("table_cache_capacity", kTableCache);
-  json.begin_rows({"scenario", "workers", "sharded", "shards", "steals", "ok",
-                   "seconds", "rps", "svc_p50_us", "svc_p95_us", "svc_p99_us",
-                   "total_p99_us", "queue_high_water", "batches", "max_batch_seen",
-                   "table_hit_rate", "ctx_builds", "identical"});
+  json.begin_rows({"scenario", "workers", "ok", "seconds", "rps", "svc_p50_us",
+                   "svc_p95_us", "svc_p99_us", "total_p99_us", "queue_high_water",
+                   "batches", "max_batch_seen", "table_hit_rate", "ctx_builds",
+                   "identical"});
   std::printf(
       "bench_multitenant: %d tenants x 2 qualities, %zu corpus images, "
       "%d clients x %d requests\n",
@@ -295,9 +273,8 @@ int main(int argc, char** argv) {
     all_identical = all_identical && r.identical;
     const serve::ServiceStats& st = r.stats;
     const double rps = static_cast<double>(r.ok) / r.seconds;
-    json.row({r.name, std::to_string(r.workers), r.sharded ? "yes" : "no",
-              std::to_string(st.shard_count), std::to_string(st.steals),
-              std::to_string(r.ok), bench::fmt(r.seconds, 3), bench::fmt(rps, 1),
+    json.row({r.name, std::to_string(r.workers), std::to_string(r.ok),
+              bench::fmt(r.seconds, 3), bench::fmt(rps, 1),
               us_str(st.service_time.p50_us), us_str(st.service_time.p95_us),
               us_str(st.service_time.p99_us), us_str(st.total.p99_us),
               std::to_string(st.queue_high_water), std::to_string(st.batches),
@@ -305,34 +282,14 @@ int main(int argc, char** argv) {
               bench::fmt(table_hit_rate(st), 3), std::to_string(ctx_builds(st)),
               r.identical ? "yes" : "NO"});
     std::printf(
-        "  %-14s %6.2fs  %8.0f req/s  shards=%llu steals=%llu  "
-        "table hit=%.3f  ctx builds=%llu  %s\n",
-        r.name.c_str(), r.seconds, rps, static_cast<unsigned long long>(st.shard_count),
-        static_cast<unsigned long long>(st.steals), table_hit_rate(st),
+        "  %-21s %6.2fs  %8.0f req/s  table hit=%.3f  ctx builds=%llu  %s\n",
+        r.name.c_str(), r.seconds, rps, table_hit_rate(st),
         static_cast<unsigned long long>(ctx_builds(st)),
         r.identical ? "identical" : "MISMATCH");
   }
   json.end_rows();
 
-  // Headline deltas, sharded vs unsharded (same workers, same schedule):
-  // positive hit-rate delta and positive rebuild saving = affinity doing
-  // its job.
-  const double hit_delta = table_hit_rate(results[0].stats) - table_hit_rate(results[1].stats);
-  const std::uint64_t builds_sharded = ctx_builds(results[0].stats);
-  const std::uint64_t builds_unsharded = ctx_builds(results[1].stats);
-  json.field("table_hit_rate_sharded", table_hit_rate(results[0].stats));
-  json.field("table_hit_rate_unsharded", table_hit_rate(results[1].stats));
-  json.field("table_hit_rate_delta", hit_delta);
-  json.field("ctx_builds_sharded", static_cast<std::size_t>(builds_sharded));
-  json.field("ctx_builds_unsharded", static_cast<std::size_t>(builds_unsharded));
-  json.field("ctx_builds_saved",
-             static_cast<std::size_t>(
-                 builds_unsharded > builds_sharded ? builds_unsharded - builds_sharded : 0));
   json.field("all_identical", all_identical);
-  std::printf("  table hit-rate delta (sharded - unsharded) = %+.3f, "
-              "ctx builds %llu -> %llu\n",
-              hit_delta, static_cast<unsigned long long>(builds_unsharded),
-              static_cast<unsigned long long>(builds_sharded));
   std::printf("  wrote %s\n", json.path().c_str());
 
   if (!all_identical) {

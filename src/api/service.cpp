@@ -102,8 +102,6 @@ Service::Service(const ServiceOptions& options) {
   cfg.cache_max_bytes = options.cache_max_bytes();
   cfg.tenant_quota_bytes = options.tenant_quota_bytes();
   cfg.table_cache_capacity = options.table_cache();
-  cfg.shard_by_digest = options.shard_by_digest();
-  cfg.steal = options.steal();
   if (options.registry().has_value())
     cfg.registry = detail::RegistryAccess::impl(*options.registry());
   impl_ = std::make_unique<Impl>(std::move(cfg));
@@ -214,8 +212,6 @@ ServiceMetrics Service::metrics() const {
   m.table_cache_hits = s.table_cache_hits;
   m.batches = s.batches;
   m.max_batch = s.max_batch;
-  m.shard_count = s.shard_count;
-  m.steals = s.steals;
   m.total_p50_us = s.total.p50_us;
   m.total_p95_us = s.total.p95_us;
   m.total_p99_us = s.total.p99_us;

@@ -69,22 +69,10 @@ class ServiceOptions {
     tenant_quota_bytes_ = bytes;
     return *this;
   }
-  /// Scaled-table cache entries per worker for deepn_encode (0 disables).
+  /// Scaled-table cache entries for deepn_encode, in total across workers
+  /// (0 disables).
   ServiceOptions& table_cache(std::size_t entries) {
     table_cache_ = entries;
-    return *this;
-  }
-  /// Digest-affinity sharding: route requests to per-worker sub-queues by
-  /// config digest so worker caches stay warm per configuration. Pure
-  /// scheduling — payloads are bit-identical either way. Default on.
-  ServiceOptions& shard_by_digest(bool on) {
-    shard_by_digest_ = on;
-    return *this;
-  }
-  /// Work stealing between shards (idle worker takes from the fullest
-  /// foreign sub-queue). Default on.
-  ServiceOptions& steal(bool on) {
-    steal_ = on;
     return *this;
   }
   /// The tenant registry deepn_encode resolves names against. Omitted =
@@ -122,8 +110,6 @@ class ServiceOptions {
   std::size_t cache_max_bytes() const { return cache_max_bytes_; }
   std::size_t tenant_quota_bytes() const { return tenant_quota_bytes_; }
   std::size_t table_cache() const { return table_cache_; }
-  bool shard_by_digest() const { return shard_by_digest_; }
-  bool steal() const { return steal_; }
   const std::optional<Registry>& registry() const { return registry_; }
   int design_workers() const { return design_workers_; }
   std::size_t design_queue() const { return design_queue_; }
@@ -138,8 +124,6 @@ class ServiceOptions {
   std::size_t cache_max_bytes_ = 0;
   std::size_t tenant_quota_bytes_ = 0;
   std::size_t table_cache_ = 16;
-  bool shard_by_digest_ = true;
-  bool steal_ = true;
   std::optional<Registry> registry_;
   int design_workers_ = 1;
   std::size_t design_queue_ = 8;
@@ -242,11 +226,9 @@ struct ServiceMetrics {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_bytes = 0;            ///< recorded result-cache payload total
   std::uint64_t cache_quota_evictions = 0;  ///< evictions forced by tenant quotas
-  std::uint64_t table_cache_hits = 0;       ///< summed over per-worker table LRUs
+  std::uint64_t table_cache_hits = 0;       ///< scaled-table LRU hits
   std::uint64_t batches = 0;
   std::uint64_t max_batch = 0;
-  std::uint64_t shard_count = 0;  ///< submission-queue shards (1 = unsharded)
-  std::uint64_t steals = 0;       ///< pops served from a foreign shard
   double total_p50_us = 0.0;
   double total_p95_us = 0.0;
   double total_p99_us = 0.0;

@@ -69,8 +69,8 @@ std::uint64_t request_config_digest(const Request& req);
 
 /// Config digest of a DeepN-quality encode: the digest of the base table
 /// pair (service-wide or a tenant's TenantEntry::base_digest) folded with
-/// the clamped quality. This is the digest the service shards, batches,
-/// and caches kDeepnEncode requests on — pure content, no names, no
+/// the clamped quality. This is the digest the service batches and caches
+/// kDeepnEncode requests on — pure content, no names, no
 /// registry versions, so equal computations share warmth everywhere.
 std::uint64_t deepn_config_digest(std::uint64_t tables_digest, int quality);
 

@@ -43,11 +43,11 @@ struct TenantEntry {
   /// pair (so request quality then behaves exactly like standard IJG
   /// quality), and `quality` is normalized to 50 — it plays no part in a
   /// custom-table encode, and normalizing it lets two registrations of the
-  /// same computation share one digest (batches, caches, shard affinity).
+  /// same computation share one digest (batches, caches).
   jpeg::EncoderConfig base;
 
   /// digest_config(base): the content key everything downstream derives
-  /// from — shard affinity, batch compatibility, table-LRU keys.
+  /// from — batch compatibility, result- and table-LRU keys.
   std::uint64_t base_digest = 0;
 
   /// Result-cache byte budget for this tenant (0 = no per-tenant cap; the
@@ -56,8 +56,8 @@ struct TenantEntry {
 };
 
 /// Thread-safe name -> TenantEntry map. One registry may back any number
-/// of services (pass the same shared_ptr via ServiceConfig::registry) so a
-/// fleet of shards serves one coherent tenant set.
+/// of services (pass the same shared_ptr via ServiceConfig::registry) so
+/// they all serve one coherent tenant set.
 class TableRegistry {
  public:
   TableRegistry() = default;

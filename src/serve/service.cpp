@@ -31,12 +31,6 @@ std::uint64_t to_trace_ns(Clock::time_point tp) {
           .count());
 }
 
-/// Virtual nodes per shard on the consistent-hash ring. 16 points per
-/// shard keeps the largest/smallest shard arc within ~2x of each other for
-/// any realistic shard count — plenty, since workers rebalance residual
-/// skew by stealing.
-constexpr std::uint32_t kShardRingReplicas = 16;
-
 }  // namespace
 
 LatencySummary summarize(const stats::Histogram& h, double exact_max_us) {
@@ -116,7 +110,8 @@ struct TranscodeService::WorkerStats {
 TranscodeService::TranscodeService(ServiceConfig config)
     : config_(std::move(config)),
       result_cache_(config_.cache_capacity, config_.cache_max_bytes,
-                    config_.tenant_quota_bytes) {
+                    config_.tenant_quota_bytes),
+      table_cache_(config_.table_cache_capacity) {
   config_.workers = std::max(1, config_.workers);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.max_batch = std::max(1, config_.max_batch);
@@ -132,29 +127,10 @@ TranscodeService::TranscodeService(ServiceConfig config)
   deepn_tables_digest_ =
       digest_table(config_.deepn_chroma, digest_table(config_.deepn_luma));
 
-  // One shard per worker under digest affinity — the point is a 1:1
-  // shard->home-worker mapping, so "same digest" means "same warm context".
-  shards_ = config_.shard_by_digest ? static_cast<std::size_t>(config_.workers) : 1;
-  ring_.reserve(shards_ * kShardRingReplicas);
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    for (std::uint32_t r = 0; r < kShardRingReplicas; ++r) {
-      const std::uint32_t point[2] = {s, r};
-      ring_.emplace_back(fnv1a(point, sizeof(point)), s);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-
-  queue_ = std::make_unique<ShardedQueue<Job>>(shards_, config_.queue_capacity);
+  queue_ = std::make_unique<runtime::MpmcQueue<Job>>(config_.queue_capacity);
   worker_stats_.reserve(static_cast<std::size_t>(config_.workers));
-  table_caches_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w) {
+  for (int w = 0; w < config_.workers; ++w)
     worker_stats_.push_back(std::make_unique<WorkerStats>());
-    // Per-worker table LRUs: digest affinity means a worker only hosts its
-    // shard's configurations, so small private caches hold exactly the
-    // right working set — with zero cross-worker lock traffic.
-    table_caches_.push_back(std::make_unique<LruCache<CacheKey, TablePair, CacheKeyHash>>(
-        config_.table_cache_capacity));
-  }
 
   // A private pool, not ThreadPool::global(): pumps occupy their worker for
   // the service's whole lifetime, which would starve the shared pool's
@@ -199,20 +175,11 @@ void TranscodeService::submit(Request req, Callback done) {
   submit_job(std::move(job));
 }
 
-std::size_t TranscodeService::shard_of(std::uint64_t config_digest) const {
-  if (shards_ == 1) return 0;
-  // First ring point clockwise of the digest; wrap past the top.
-  auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                             std::make_pair(config_digest, std::uint32_t{0}));
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
-}
-
 void TranscodeService::submit_job(Job job) {
   submitted_->inc();
   // Adopt the front end's trace, or open one here for in-process callers.
-  // Pure observability: the sampling decision never feeds into admission,
-  // sharding, or batching.
+  // Pure observability: the sampling decision never feeds into admission
+  // or batching.
   job.trace_id = job.req.trace_id;
   job.trace_parent = job.req.trace_parent;
   if (job.trace_id == 0) {
@@ -226,15 +193,15 @@ void TranscodeService::submit_job(Job job) {
     }
   }
   job.cacheable = cacheable(job.req.kind) && result_cache_.enabled();
-  // Only the config half of the key here: admission, sharding and batching
-  // never read the input half, and hashing the payload on the submission
+  // Only the config half of the key here: admission and batching never
+  // read the input half, and hashing the payload on the submission
   // path would make rejection under overload O(payload). Workers derive
   // the input half lazily when a cache lookup actually happens.
   if (job.req.kind == RequestKind::kDeepnEncode) {
     // Resolve the tenant now — pinning the snapshot at submission is the
     // registry's consistency contract — and digest by resolved CONTENT, so
     // two tenants (or registry generations) with identical tables share
-    // shards, batches and cache entries.
+    // batches and cache entries.
     std::uint64_t tables_digest = deepn_tables_digest_;
     if (!job.req.tenant.empty()) {
       job.tenant = config_.registry->find(job.req.tenant);
@@ -253,10 +220,9 @@ void TranscodeService::submit_job(Job job) {
   }
   job.enqueue = Clock::now();
 
-  const std::size_t shard = shard_of(job.key.config);
   const bool accepted = config_.admission == AdmissionPolicy::kReject
-                            ? queue_->try_push(job, shard)
-                            : queue_->push(job, shard);
+                            ? queue_->try_push(job)
+                            : queue_->push(job);
   if (!accepted) {
     // try_push fails on full or closed; push only on closed. Closed wins
     // the tie-break so shutdown refusals are always typed kShutdown.
@@ -293,33 +259,25 @@ void TranscodeService::refuse(Job&& job, Status status, std::string why) {
 
 void TranscodeService::pump(int worker_id) {
   WorkerStats& ws = *worker_stats_[static_cast<std::size_t>(worker_id)];
-  const std::size_t home = static_cast<std::size_t>(worker_id) % shards_;
-  const bool steal = config_.steal && shards_ > 1;
   std::vector<Job> batch;
   Job first;
-  std::size_t from = home;
-  while (queue_->pop(home, steal, first, &from)) {
+  while (queue_->pop(first)) {
     batch.clear();
     batch.push_back(std::move(first));
     if (config_.max_batch > 1) {
-      // Batch followers come from the shard the head came from — possibly
-      // a stolen one; digest purity of the batch is what matters, not
-      // whose shard it was.
       const RequestKind kind = batch[0].req.kind;
       const std::uint64_t cfg = batch[0].key.config;
       queue_->pop_while(
-          from,
           [kind, cfg](const Job& j) {
             return j.req.kind == kind && j.key.config == cfg;
           },
           static_cast<std::size_t>(config_.max_batch) - 1, batch);
     }
-    process_batch(batch, ws, worker_id);
+    process_batch(batch, ws);
   }
 }
 
-void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws,
-                                     int worker_id) {
+void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws) {
   // Stats-ordering contract: by the time a future is fulfilled, its batch
   // and its own lifecycle counters/latencies are visible to stats(). Hence
   // batch-level counters go in at assembly, per-request counters right
@@ -362,7 +320,7 @@ void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws,
       if (hit) {
         resp.cache_hit = true;
       } else {
-        resp = run(job.req, job.tenant.get(), worker_id, &info);
+        resp = run(job.req, job.tenant.get(), &info);
         if (job.cacheable && resp.status == Status::kOk)
           result_cache_.put(job.key, resp.bytes, resp.bytes.size(), job.tenant_hash);
       }
@@ -445,7 +403,7 @@ bool fold_status(const api::Status& status, Response& r) {
 }  // namespace
 
 Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
-                               int worker_id, RunInfo* info) {
+                               RunInfo* info) {
   // The codec request kinds run through the public façade (dnj::api) —
   // the service is the façade's first in-tree consumer, so the boundary
   // contract (typed statuses in, bit-identical payloads out) is exercised
@@ -487,7 +445,7 @@ Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
         api::Result<std::vector<std::uint8_t>> res = codec.encode(
             req.image.view(),
             api::detail::from_config(
-                deepn_config(req.quality, tenant, worker_id, info)));
+                deepn_config(req.quality, tenant, info)));
         if (fold_status(res.status(), r)) r.bytes = res.take();
         break;
       }
@@ -522,7 +480,7 @@ Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
 
 jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
                                                    const TenantEntry* tenant,
-                                                   int worker_id, RunInfo* info) {
+                                                   RunInfo* info) {
   quality = std::clamp(quality, 1, 100);
   const jpeg::QuantTable& base_luma =
       tenant ? tenant->base.luma_table : config_.deepn_luma;
@@ -532,21 +490,19 @@ jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
       tenant ? tenant->base_digest : deepn_tables_digest_;
 
   TablePair pair;
-  // worker_id < 0 = the execute() reference path: deliberately cache-free.
-  LruCache<CacheKey, TablePair, CacheKeyHash>* cache =
-      worker_id >= 0 ? table_caches_[static_cast<std::size_t>(worker_id)].get()
-                     : nullptr;
+  // info == nullptr = the execute() reference path: deliberately cache-free.
+  const bool cached = info != nullptr && table_cache_.enabled();
   const CacheKey key{tables_digest, static_cast<std::uint64_t>(quality)};
   bool hit = false;
-  if (cache != nullptr && cache->enabled()) {
-    if (info != nullptr) info->table_lookup = true;
-    hit = cache->get(key, &pair);
-    if (info != nullptr) info->table_hit = hit;
+  if (cached) {
+    info->table_lookup = true;
+    hit = table_cache_.get(key, &pair);
+    info->table_hit = hit;
   }
   if (!hit) {
     pair.luma = base_luma.scaled(quality);
     pair.chroma = base_chroma.scaled(quality);
-    if (cache != nullptr) cache->put(key, pair);
+    if (cached) table_cache_.put(key, pair);
   }
 
   // A tenant's entry carries its full encoder configuration — subsampling,
@@ -580,7 +536,7 @@ Response TranscodeService::execute(const Request& req) {
     }
     tenant = pin.get();
   }
-  return run(req, tenant, /*worker_id=*/-1, nullptr);
+  return run(req, tenant, /*info=*/nullptr);
 }
 
 ServiceStats TranscodeService::stats() const {
@@ -590,17 +546,13 @@ ServiceStats TranscodeService::stats() const {
   s.refused_shutdown = refused_shutdown_->value();
   s.queue_capacity = queue_->capacity();
   s.queue_high_water = queue_->high_water();
-  s.shard_count = queue_->shard_count();
-  s.steals = queue_->steals();
   s.cache_hits = result_cache_.hits();
   s.cache_misses = result_cache_.misses();
   s.cache_evictions = result_cache_.evictions();
   s.cache_quota_evictions = result_cache_.quota_evictions();
   s.cache_bytes = result_cache_.bytes();
-  for (const auto& tc : table_caches_) {
-    s.table_cache_hits += tc->hits();
-    s.table_cache_misses += tc->misses();
-  }
+  s.table_cache_hits = table_cache_.hits();
+  s.table_cache_misses = table_cache_.misses();
 
   // Unknown-tenant refusals error at submission — no worker ever sees
   // them. Folding them into both errors and the kind tally preserves the
@@ -711,8 +663,6 @@ void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
   gauge("serve_max_batch", static_cast<double>(s.max_batch));
   gauge("serve_queue_capacity", static_cast<double>(s.queue_capacity));
   gauge("serve_queue_high_water", static_cast<double>(s.queue_high_water));
-  gauge("serve_shard_count", static_cast<double>(s.shard_count));
-  counter("serve_steals_total", s.steals);
   counter("serve_ctx_huffman_builds_total", s.ctx_huffman_builds);
   counter("serve_ctx_reciprocal_builds_total", s.ctx_reciprocal_builds);
   counter("serve_ctx_quality_table_builds_total", s.ctx_quality_table_builds);

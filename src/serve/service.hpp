@@ -1,49 +1,38 @@
 // TranscodeService — the asynchronous serving layer over the codec pipeline
 // and the NN front end.
 //
-//   clients ──submit()──▶ consistent-hash ring ──▶ sharded MPMC queue ──▶ worker pumps
-//               │           shard_of(config digest)   one sub-queue per shard    │
-//               │ admission control:                  (pop home shard first,     │ one pump per worker, each
-//               │   kBlock  — wait for space           steal fullest foreign     │ on its own thread-local
-//               │   kReject — typed kRejected          shard when starving)      │ CodecContext (warm arenas,
-//               ▼            response, immediately                              ├─▶ result LRU   (shared; byte + per-tenant quota accounting)
-//        future<Response>                                                       ├─▶ table LRU    (per worker: DeepN pair, IJG-scaled per quality)
-//                                                                               └─▶ per-worker latency histograms ──merge──▶ ServiceStats
+//   clients ──submit()──▶ bounded MPMC queue ──▶ worker pumps
+//               │           (runtime::MpmcQueue,       │ one pump per worker, each
+//               │ admission control:  one FIFO for     │ on its own thread-local
+//               │   kBlock  — wait for space           │ CodecContext (warm arenas,
+//               │   kReject — typed kRejected          ├─▶ result LRU (byte + per-tenant quota accounting)
+//               ▼            response, immediately     ├─▶ table LRU  (DeepN pair, IJG-scaled per quality)
+//        future<Response>                              └─▶ per-worker latency histograms ──merge──▶ ServiceStats
 //
-// Scheduling: digest-affinity sharding. The submission path hashes the
-// request's config digest onto a consistent-hash ring (kShardRingReplicas
-// virtual points per shard) that maps it to a home shard; with
-// shard_by_digest on there is one shard per worker, so every request
-// stream with one configuration lands on one worker whose CodecContext
-// caches (Huffman specs, reciprocal multipliers, scaled tables, LUT
-// decoders) stay permanently warm for it. After popping a request, a pump
-// opportunistically drains immediately-available *compatible* followers
-// (same kind, same config digest) from the same shard up to `max_batch` —
-// micro-batching; sharding makes those runs longer because a shard's
-// sub-queue interleaves fewer distinct configs. A worker whose home shard
-// is empty steals the head of the fullest foreign shard (config_.steal),
-// trading warmth for utilization; nothing else changes hands.
+// Scheduling: one bounded FIFO shared by every worker. After popping a
+// request, a pump drains immediately-available *compatible* followers
+// (same kind, same config digest) from the queue head up to `max_batch`
+// — micro-batching. Both caches are shared by all workers; which worker
+// runs a request never changes its bytes.
 //
 // Multi-tenancy: a versioned TableRegistry (shared or service-private)
 // maps tenant names to base table pairs + encoder options. A kDeepnEncode
 // request naming a tenant pins that tenant's immutable snapshot at
 // submission — concurrent re-registration can never mix table generations
 // within a request — and is digested by resolved *content*, so identical
-// configurations share shards, batches, and caches across tenant names.
-// The shared result LRU enforces per-tenant byte quotas so one tenant
-// cannot evict everyone else (see LruCache).
+// configurations share batches and caches across tenant names. The
+// shared result LRU enforces per-tenant byte quotas so one tenant cannot
+// evict everyone else (see LruCache).
 //
 // Determinism contract (extends the codec/runtime contracts to serving):
 // every response payload is bit-identical to the equivalent synchronous
-// single-threaded call — execute() — regardless of worker count, sharding
-// mode, stealing, batching decisions, cache hits, or arrival order. This
-// holds because every handler is a pure function of the request plus the
-// configuration snapshot it pinned: contexts only carry scratch state, the
-// caches store deterministic functions of their keys, and the model is
-// locked during each forward. Sharding and stealing are pure scheduling —
-// they choose *where* a request runs, never what it computes.
-// tests/test_serve.cpp pins the contract across worker counts {1, 2, 8},
-// sharding on/off, stealing on/off, batching on/off, and cache warm/cold.
+// single-threaded call — execute() — regardless of worker count, batching
+// decisions, cache hits, or arrival order. This holds because every
+// handler is a pure function of the request plus the configuration
+// snapshot it pinned: contexts only carry scratch state, the caches store
+// deterministic functions of their keys, and the model is locked during
+// each forward. tests/test_serve.cpp pins the contract across worker
+// counts {1, 2, 8}, batching on/off, and cache warm/cold.
 //
 // Shutdown: shutdown() closes the queue (new submissions get a typed
 // kShutdown response; blocked submitters wake with the same), lets the
@@ -64,13 +53,13 @@
 #include "jpeg/quant.hpp"
 #include "nn/layer.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/mpmc_queue.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/digest.hpp"
 #include "serve/lru_cache.hpp"
 #include "serve/registry.hpp"
 #include "serve/request.hpp"
 #include "serve/service_stats.hpp"
-#include "serve/shard_queue.hpp"
 
 namespace dnj::serve {
 
@@ -84,26 +73,14 @@ struct ServiceConfig {
   /// thread-local jpeg::pipeline::CodecContext for its whole lifetime.
   int workers = 2;
 
-  /// Bounded submission-queue capacity (clamped to >= 1), split evenly
-  /// across shards (rounded up). The queue never holds more requests than
-  /// ServiceStats::queue_capacity — admission control handles overflow.
+  /// Bounded submission-queue capacity (clamped to >= 1). The queue never
+  /// holds more requests than this — admission control handles overflow.
   std::size_t queue_capacity = 256;
 
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
 
   /// Largest micro-batch a worker may drain per pop; 1 disables batching.
   int max_batch = 8;
-
-  /// Digest-affinity sharding: one sub-queue per worker, requests routed
-  /// by config digest so per-worker caches stay warm per configuration.
-  /// Off = one shard (classic any-worker-pops-anything scheduling).
-  /// Scheduling only — responses are bit-identical either way.
-  bool shard_by_digest = true;
-
-  /// Work stealing: a worker whose home shard is empty takes the head of
-  /// the fullest foreign shard instead of idling. Only meaningful with
-  /// shard_by_digest; trades cache warmth for utilization under skew.
-  bool steal = true;
 
   /// Result-cache entries — encoded byte payloads keyed on
   /// (input digest, config digest). 0 disables the cache.
@@ -120,9 +97,9 @@ struct ServiceConfig {
   /// cache needs no registry lookups on the hot path).
   std::size_t tenant_quota_bytes = 0;
 
-  /// Scaled-table cache entries for kDeepnEncode, per worker (one entry
-  /// per distinct (table pair, quality)). 0 disables it (tables are then
-  /// re-scaled per request).
+  /// Scaled-table cache entries for kDeepnEncode, in total across workers
+  /// (one entry per distinct (table pair, quality)). 0 disables it (tables
+  /// are then re-scaled per request).
   std::size_t table_cache_capacity = 16;
 
   /// The deployment's DeepN-JPEG table pair, the base that tenantless
@@ -218,12 +195,11 @@ class TranscodeService {
     bool table_hit = false;
   };
   void pump(int worker_id);
-  void process_batch(std::vector<Job>& batch, WorkerStats& ws, int worker_id);
-  Response run(const Request& req, const TenantEntry* tenant, int worker_id,
-               RunInfo* info);
+  void process_batch(std::vector<Job>& batch, WorkerStats& ws);
+  /// `info` null = the execute() reference path, which bypasses the table cache.
+  Response run(const Request& req, const TenantEntry* tenant, RunInfo* info);
   jpeg::EncoderConfig deepn_config(int quality, const TenantEntry* tenant,
-                                   int worker_id, RunInfo* info);
-  std::size_t shard_of(std::uint64_t config_digest) const;
+                                   RunInfo* info);
   void collect_metrics(std::vector<obs::Sample>& out) const;
   void submit_job(Job job);
   static void fulfill(Job&& job, Response&& resp);
@@ -231,15 +207,7 @@ class TranscodeService {
 
   ServiceConfig config_;
   std::uint64_t deepn_tables_digest_ = 0;
-  std::size_t shards_ = 1;
-  /// Consistent-hash ring: (point, shard), sorted by point. Virtual nodes
-  /// smooth the digest -> shard split; consistent hashing keeps most
-  /// digests' homes stable if the shard count ever changes generation to
-  /// generation (services today fix it at construction, but cache-warmth
-  /// math should not depend on that).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
-
-  std::unique_ptr<ShardedQueue<Job>> queue_;
+  std::unique_ptr<runtime::MpmcQueue<Job>> queue_;
   std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
   std::unique_ptr<runtime::ThreadPool> workers_;  ///< null once shut down
   std::mutex shutdown_mutex_;
@@ -248,11 +216,9 @@ class TranscodeService {
   struct TablePair {
     jpeg::QuantTable luma, chroma;
   };
-  /// One scaled-table LRU per worker (indexed by worker id): with digest
-  /// affinity each worker only ever hosts its shard's configurations, so
-  /// a small per-worker cache outperforms one shared cache under
-  /// multi-tenant load — and sheds the cross-worker lock traffic.
-  std::vector<std::unique_ptr<LruCache<CacheKey, TablePair, CacheKeyHash>>> table_caches_;
+  /// Scaled DeepN table pairs keyed on (base tables digest, quality),
+  /// shared by every worker like the result cache.
+  LruCache<CacheKey, TablePair, CacheKeyHash> table_cache_;
 
   std::mutex model_mutex_;
 

@@ -89,7 +89,7 @@ struct ServiceStats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_quota_evictions = 0;
   std::uint64_t cache_bytes = 0;
-  // Scaled-table LRUs (per worker since digest-affinity sharding; summed).
+  // Scaled-table LRU (one, shared by every worker).
   std::uint64_t table_cache_hits = 0;
   std::uint64_t table_cache_misses = 0;
 
@@ -98,12 +98,11 @@ struct ServiceStats {
   std::uint64_t batched_requests = 0;  ///< requests that shared a batch (size > 1)
   std::uint64_t max_batch = 0;         ///< largest batch observed
 
-  // Queue pressure + digest-affinity sharding. queue_capacity is the
-  // total across shards; steals count pops a worker served from a foreign
-  // shard (stealing enabled, home shard empty).
+  // Queue pressure.
   std::uint64_t queue_capacity = 0;
   std::uint64_t queue_high_water = 0;  ///< never exceeds queue_capacity
-  std::uint64_t shard_count = 0;
+  /// Always 0: every worker pops the same queue, so no pop is a steal.
+  /// Kept for existing readers of this struct.
   std::uint64_t steals = 0;
 
   // Context warmth (jpeg::pipeline::CodecContext::ReuseCounters deltas,

@@ -258,22 +258,27 @@ TEST(TranscodeService, RejectPolicyReturnsTypedErrorAndBoundsQueue) {
 }
 
 TEST(TranscodeService, BlockPolicyServesEverythingThroughTinyQueue) {
-  ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = 2;
-  cfg.admission = AdmissionPolicy::kBlock;
-  TranscodeService service(cfg);
+  // Three workers do not divide a capacity of 2: the bound must still be
+  // exactly the configured one, not rounded up per worker.
+  for (int workers : {2, 3}) {
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.queue_capacity = 2;
+    cfg.admission = AdmissionPolicy::kBlock;
+    TranscodeService service(cfg);
 
-  const image::Image img = gray_corpus(1).samples[0].image;
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 100; ++i)
-    futures.push_back(service.submit(encode_request(img, config_a())));
-  for (std::future<Response>& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
+    const image::Image img = gray_corpus(1).samples[0].image;
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < 100; ++i)
+      futures.push_back(service.submit(encode_request(img, config_a())));
+    for (std::future<Response>& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
 
-  const ServiceStats st = service.stats();
-  EXPECT_EQ(st.completed, 100u);
-  EXPECT_EQ(st.rejected, 0u);
-  EXPECT_LE(st.queue_high_water, 2u);
+    const ServiceStats st = service.stats();
+    EXPECT_EQ(st.completed, 100u);
+    EXPECT_EQ(st.rejected, 0u);
+    EXPECT_EQ(st.queue_capacity, 2u) << workers << " workers";
+    EXPECT_LE(st.queue_high_water, 2u) << workers << " workers";
+  }
 }
 
 TEST(TranscodeService, GracefulShutdownDrainsAcceptedWork) {
@@ -463,69 +468,6 @@ TEST(TranscodeService, ExecuteMatchesSubmit) {
   ASSERT_EQ(sync.status, Status::kOk);
   ASSERT_EQ(async.status, Status::kOk);
   EXPECT_EQ(sync.bytes, async.bytes);
-}
-
-TEST(TranscodeService, ShardingAndStealingAreByteInvariant) {
-  // Digest-affinity sharding is pure scheduling: the full scheduling
-  // matrix — sharding on/off x worker counts x stealing on/off — must
-  // produce payloads bit-identical to the direct synchronous calls.
-  const jpeg::QuantTable deepn_luma = jpeg::QuantTable::annex_k_luma();
-  const jpeg::QuantTable deepn_chroma = jpeg::QuantTable::uniform(24);
-  const std::vector<Expected> workload =
-      mixed_workload(nullptr, deepn_luma, deepn_chroma);
-
-  for (bool shard : {false, true}) {
-    for (int workers : {1, 2, 8}) {
-      for (bool steal : {false, true}) {
-        ServiceConfig cfg;
-        cfg.workers = workers;
-        cfg.shard_by_digest = shard;
-        cfg.steal = steal;
-        cfg.queue_capacity = 64;
-        cfg.cache_capacity = 32;
-        cfg.deepn_luma = deepn_luma;
-        cfg.deepn_chroma = deepn_chroma;
-        TranscodeService service(cfg);
-
-        std::vector<std::future<Response>> futures;
-        for (const Expected& e : workload) futures.push_back(service.submit(e.request));
-        for (std::size_t f = 0; f < futures.size(); ++f)
-          expect_payload_equal(futures[f].get(), workload[f].want, f);
-
-        const ServiceStats st = service.stats();
-        EXPECT_EQ(st.shard_count, shard ? static_cast<std::uint64_t>(workers) : 1u);
-        EXPECT_EQ(st.completed, workload.size());
-        EXPECT_EQ(st.errors, 0u);
-        if (!steal || !shard) {
-          EXPECT_EQ(st.steals, 0u);
-        }
-      }
-    }
-  }
-}
-
-TEST(TranscodeService, IdleWorkerStealsFromForeignShard) {
-  // One configuration = one shard = one home worker; the other worker can
-  // only ever contribute by stealing. With a slow head request occupying
-  // whichever worker grabs it, the remaining stream guarantees at least
-  // one steal however the race resolves.
-  ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.shard_by_digest = true;
-  cfg.steal = true;
-  cfg.max_batch = 1;
-  cfg.cache_capacity = 0;
-  cfg.queue_capacity = 64;
-  TranscodeService service(cfg);
-
-  std::vector<std::future<Response>> futures;
-  futures.push_back(service.submit(encode_request(big_image(), config_a())));
-  const image::Image tiny = gray_corpus(1).samples[0].image;
-  for (int i = 0; i < 30; ++i)
-    futures.push_back(service.submit(encode_request(tiny, config_a())));
-  for (std::future<Response>& f : futures) ASSERT_EQ(f.get().status, Status::kOk);
-
-  EXPECT_GE(service.stats().steals, 1u);
 }
 
 jpeg::EncoderConfig tenant_base(int step) {
