@@ -15,6 +15,7 @@
 #include "jpeg/block_coder.hpp"
 #include "jpeg/codec.hpp"
 #include "jpeg/dct.hpp"
+#include "jpeg/decoder.hpp"
 #include "jpeg/quant.hpp"
 #include "simd/dispatch.hpp"
 
@@ -231,6 +232,42 @@ void BM_GemmAcc(benchmark::State& state, simd::Level level) {
   simd::set_level(ambient_level());
 }
 
+// One 1080p chroma row: 960 source samples -> 1920 outputs.
+void BM_Upsample2xRow(benchmark::State& state, simd::Level level) {
+  simd::set_level(level);
+  constexpr int kOutW = 1920;
+  std::mt19937_64 rng(15);
+  std::uniform_real_distribution<float> dist(0.0f, 255.0f);
+  std::vector<float> src((kOutW + 1) / 2);
+  for (float& v : src) v = dist(rng);
+  std::vector<float> out(kOutW);
+  for (auto _ : state) {
+    simd::kernels().upsample2x_row(src.data(), static_cast<int>(src.size()), out.data(),
+                                   kOutW);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kOutW);
+  simd::set_level(ambient_level());
+}
+
+// Whole 4:2:0 decode through a warm context. The entropy stage costs the
+// same at every level, so the spread between level rows is the pixel
+// reconstruction: dequantize, IDCT, untile, fused upsample + colour convert.
+void BM_Reconstruct420(benchmark::State& state, simd::Level level) {
+  simd::set_level(level);
+  const image::Image img = test_image(512, 3);
+  jpeg::EncoderConfig cfg;
+  cfg.quality = 75;
+  cfg.subsampling = jpeg::Subsampling::k420;
+  const auto bytes = jpeg::encode(img, cfg);
+  jpeg::pipeline::CodecContext ctx;
+  for (auto _ : state) benchmark::DoNotOptimize(jpeg::decode(bytes, ctx, 1));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * img.width() *
+                          img.height());
+  simd::set_level(ambient_level());
+}
+
 void register_simd_level_benches() {
   for (simd::Level level :
        {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2}) {
@@ -243,6 +280,10 @@ void register_simd_level_benches() {
     benchmark::RegisterBenchmark(("BM_QuantZigzagBatch" + suffix).c_str(),
                                  BM_QuantZigzagBatch, level);
     benchmark::RegisterBenchmark(("BM_GemmAcc" + suffix).c_str(), BM_GemmAcc, level);
+    benchmark::RegisterBenchmark(("BM_Upsample2xRow" + suffix).c_str(), BM_Upsample2xRow,
+                                 level);
+    benchmark::RegisterBenchmark(("BM_Reconstruct420" + suffix).c_str(), BM_Reconstruct420,
+                                 level);
   }
   simd::set_level(ambient_level());
 }

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "image/blocks.hpp"
-#include "image/color.hpp"
 #include "image/resample.hpp"
 #include "jpeg/bitio.hpp"
 #include "jpeg/block_coder.hpp"
@@ -16,6 +16,7 @@
 #include "jpeg/zigzag.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 
@@ -229,32 +230,50 @@ class Parser {
       return img;
     }
 
-    // Upsample subsampled chroma to luma resolution.
-    const PlaneF& luma = ctx_.decode_planes[0];
-    auto upsample_if_needed = [&](PlaneF& p, const FrameComponent& c) {
-      if (c.h == info.max_h && c.v == info.max_v) return;
-      if (2 * c.h == info.max_h && 2 * c.v == info.max_v) {
-        // The subsampled plane may be padded past ceil(dim/2); crop-aware
-        // upsample to the luma padded size via bilinear on the useful area.
-        const int need_w = (info.width + 1) / 2;
-        const int need_h = (info.height + 1) / 2;
-        PlaneF cropped(need_w, need_h);
-        for (int y = 0; y < need_h; ++y)
-          for (int x = 0; x < need_w; ++x) cropped.at(x, y) = p.at(x, y);
-        PlaneF up = image::upsample_2x2(cropped, info.width, info.height);
-        // Re-pad to luma plane size for uniform indexing downstream.
-        PlaneF padded(luma.width(), luma.height(), 128.0f);
-        for (int y = 0; y < info.height; ++y)
-          for (int x = 0; x < info.width; ++x) padded.at(x, y) = up.at(x, y);
-        p = std::move(padded);
-        return;
-      }
+    // Colour: one pass over the output rows. Full-resolution chroma is read
+    // in place; 4:2:0 chroma stays at its native size and is upsampled row
+    // by row (crop-aware: only the top-left ceil(W/2) x ceil(H/2) samples
+    // are read) into context row buffers, straight ahead of the colour
+    // convert. Same samples as crop -> image::upsample_2x2 -> to_rgb.
+    const int width = info.width;
+    const int height = info.height;
+    const FrameComponent& luma_c = comps[0];
+    if (luma_c.h != info.max_h || luma_c.v != info.max_v)
       fail("unsupported sampling factor combination");
+    const std::size_t row_floats = static_cast<std::size_t>(width);
+    ctx_.decode_rows.resize(6 * row_floats);
+    std::optional<image::Upsample2x2Rows> upsample[2];
+    for (int c = 0; c < 2; ++c) {
+      const FrameComponent& fc = comps[static_cast<std::size_t>(c) + 1];
+      if (fc.h == info.max_h && fc.v == info.max_v) continue;
+      if (2 * fc.h != info.max_h || 2 * fc.v != info.max_v)
+        fail("unsupported sampling factor combination");
+      const PlaneF& p = ctx_.decode_planes[static_cast<std::size_t>(c) + 1];
+      upsample[c].emplace(p.data().data(), static_cast<std::size_t>(p.width()),
+                          (width + 1) / 2, (height + 1) / 2, width,
+                          ctx_.decode_rows.data() + (3 * c + 1) * row_floats);
+    }
+    auto plane_row = [&](std::size_t ci, int y) {
+      const PlaneF& p = ctx_.decode_planes[ci];
+      return p.data().data() + static_cast<std::size_t>(y) * p.width();
     };
-    upsample_if_needed(ctx_.decode_planes[1], comps[1]);
-    upsample_if_needed(ctx_.decode_planes[2], comps[2]);
-    return image::to_rgb(luma, ctx_.decode_planes[1], ctx_.decode_planes[2], info.width,
-                         info.height);
+    const simd::KernelTable& k = simd::kernels();
+    image::Image img(width, height, 3);
+    for (int y = 0; y < height; ++y) {
+      const float* chroma[2];
+      for (int c = 0; c < 2; ++c) {
+        if (!upsample[c]) {
+          chroma[c] = plane_row(static_cast<std::size_t>(c) + 1, y);
+          continue;
+        }
+        float* out = ctx_.decode_rows.data() + 3 * c * row_floats;
+        upsample[c]->row(y, out);
+        chroma[c] = out;
+      }
+      k.ycbcr_to_rgb_row(plane_row(0, y), chroma[0], chroma[1], width,
+                         img.data().data() + static_cast<std::size_t>(y) * width * 3);
+    }
+    return img;
   }
 
  private:

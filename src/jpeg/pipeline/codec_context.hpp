@@ -7,10 +7,10 @@
 //    one QuantPlane per component, decode-side coefficient stores. All of
 //    them reshape in place. A warm context *encodes* a stream of
 //    same-sized images with zero per-block and zero per-image allocations
-//    (the returned byte vector aside). Decode batches through the same
-//    arenas with no per-block allocations, but the 4:2:0 chroma-upsample
-//    path still builds per-image plane temporaries (and the decoded Image
-//    is always freshly allocated).
+//    (the returned byte vector aside). A warm context decodes the same way:
+//    chroma planes stay at their native resolution and 4:2:0 upsampling
+//    streams through a few row buffers, so the returned Image is the only
+//    per-image allocation.
 //  * the static (Annex K.3) Huffman specs and their derived encoder tables,
 //    built once per context instead of once per image — dataset-level
 //    callers with optimize_huffman off no longer re-derive them per image.
@@ -29,6 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "image/color.hpp"
 #include "jpeg/huffman.hpp"
@@ -96,7 +97,8 @@ class CodecContext {
   // --- decode-side arenas -------------------------------------------------
   std::array<QuantPlane, kMaxComponents> decode_coeffs;  ///< natural-order int16
   CoeffPlane decode_fp;                                  ///< dequantized floats
-  std::array<image::PlaneF, kMaxComponents> decode_planes;
+  std::array<image::PlaneF, kMaxComponents> decode_planes;  ///< native resolution
+  std::vector<float> decode_rows;  ///< 4:2:0 upsample row buffers (3 per chroma plane)
 
  private:
   std::optional<StaticHuffman> static_huffman_;

@@ -61,6 +61,8 @@ void overlay(KernelTable& dst, const KernelTable& src) {
   if (src.gemm_at_acc) dst.gemm_at_acc = src.gemm_at_acc;
   if (src.nonzero_mask_i16_64) dst.nonzero_mask_i16_64 = src.nonzero_mask_i16_64;
   if (src.stuff_bytes) dst.stuff_bytes = src.stuff_bytes;
+  if (src.upsample2x_row) dst.upsample2x_row = src.upsample2x_row;
+  if (src.blend_rows) dst.blend_rows = src.blend_rows;
 }
 
 struct State {

@@ -104,6 +104,16 @@ struct KernelTable {
   /// byte and fall back per byte only on chunks that need stuffing.
   std::size_t (*stuff_bytes)(const std::uint8_t* src, std::size_t n,
                              std::uint8_t* dst);
+  /// Horizontal half of image::upsample_2x2: `src` holds `iw` samples and
+  /// `out` receives `out_w` with (out_w + 1) / 2 == iw. Interior outputs use
+  /// the closed form s[k]*0.75f + s[k+1]*0.25f (odd) and
+  /// s[k]*0.25f + s[k+1]*0.75f (even); the first column and, for even
+  /// out_w, the last column run the generic a*(1-w) + b*w sequence with
+  /// clamped taps. Both forms are the same IEEE operations, so every level
+  /// matches the per-pixel bilinear rule bit for bit.
+  void (*upsample2x_row)(const float* src, int iw, float* out, int out_w);
+  /// Vertical half: out[i] = top[i] * (1 - w) + bot[i] * w over `n` lanes.
+  void (*blend_rows)(const float* top, const float* bot, float w, int n, float* out);
 };
 
 /// The active kernel table. First use resolves the level from DNJ_SIMD

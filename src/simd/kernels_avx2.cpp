@@ -33,6 +33,13 @@ struct V8 {
   static V8 load(const float* p) { return {_mm256_loadu_ps(p)}; }
   static V8 set1(float x) { return {_mm256_set1_ps(x)}; }
   void store(float* p) const { _mm256_storeu_ps(p, v); }
+  /// Stores a0 b0 a1 b1 ... a7 b7 (16 floats).
+  static void store_zip(V8 a, V8 b, float* p) {
+    const __m256 lo = _mm256_unpacklo_ps(a.v, b.v);  // a0 b0 a1 b1 | a4 b4 a5 b5
+    const __m256 hi = _mm256_unpackhi_ps(a.v, b.v);  // a2 b2 a3 b3 | a6 b6 a7 b7
+    _mm256_storeu_ps(p, _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(p + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
   friend V8 operator+(V8 a, V8 b) { return {_mm256_add_ps(a.v, b.v)}; }
   friend V8 operator-(V8 a, V8 b) { return {_mm256_sub_ps(a.v, b.v)}; }
   friend V8 operator*(V8 a, V8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
@@ -413,6 +420,14 @@ std::size_t stuff_bytes_avx2(const std::uint8_t* src, std::size_t n,
   return o;
 }
 
+void upsample2x_row_avx2(const float* src, int iw, float* out, int out_w) {
+  detail::upsample2x_row_vec<V8>(src, iw, out, out_w);
+}
+
+void blend_rows_avx2(const float* top, const float* bot, float w, int n, float* out) {
+  detail::blend_rows_vec<V8>(top, bot, w, n, out);
+}
+
 }  // namespace
 
 const KernelTable* avx2_kernels() {
@@ -433,6 +448,8 @@ const KernelTable* avx2_kernels() {
       &gemm_at_acc_avx2,
       &nonzero_mask_i16_64_avx2,
       &stuff_bytes_avx2,
+      &upsample2x_row_avx2,
+      &blend_rows_avx2,
   };
   return &table;
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "jpeg/zigzag.hpp"
@@ -75,6 +76,39 @@ static inline void tile_full_block_u8(const std::uint8_t* row, std::size_t row_s
 static inline void zigzag_permute_i16(const std::int16_t* natural, std::int16_t* zz) {
   for (int k = 0; k < 64; ++k)
     zz[k] = natural[jpeg::kZigzag[static_cast<std::size_t>(k)]];
+}
+
+// ------------------------------------------------------- 2x upsampling
+
+/// Output column x of image::upsample_2x2's horizontal pass by the generic
+/// rule: the sample centre maps to fx = (x + 0.5) / 2 - 0.5, whose clamped
+/// taps x0/x1 blend as src[x0] * (1 - wx) + src[x1] * wx. Only the edge
+/// columns run this; interior columns use the closed form it reduces to.
+static inline float upsample2x_generic(const float* src, int iw, int x) {
+  const float fx = (static_cast<float>(x) + 0.5f) / 2.0f - 0.5f;
+  const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0, iw - 1);
+  const int x1 = std::min(x0 + 1, iw - 1);
+  const float wx = std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
+  return src[x0] * (1.0f - wx) + src[x1] * wx;
+}
+
+/// Scalar remainder of upsample2x_row from source pair k on: pair k feeds
+/// out[2k+1] (wx = 0.25) and out[2k+2] (wx = 0.75), then an even out_w
+/// ends on the generic last column (both taps clamped to src[iw-1]).
+static inline void upsample2x_row_from(const float* src, int iw, float* out, int out_w,
+                                       int k) {
+  for (; k + 1 < iw; ++k) {
+    out[2 * k + 1] = src[k] * 0.75f + src[k + 1] * 0.25f;
+    out[2 * k + 2] = src[k] * 0.25f + src[k + 1] * 0.75f;
+  }
+  if (out_w == 2 * iw) out[out_w - 1] = upsample2x_generic(src, iw, out_w - 1);
+}
+
+/// Scalar remainder of blend_rows from lane i on.
+static inline void blend_rows_from(const float* top, const float* bot, float w, int n,
+                                   float* out, int i) {
+  const float wt = 1.0f - w;
+  for (; i < n; ++i) out[i] = top[i] * wt + bot[i] * w;
 }
 
 // ------------------------------------------------------- templated kernels
@@ -186,6 +220,34 @@ inline void rgb_from_ycbcr_vec(V y, V cb, V cr, V* r, V* g, V* b) {
   *g = y - V::set1(0.344136f) * (cb - V::set1(128.0f)) -
        V::set1(0.714136f) * (cr - V::set1(128.0f));
   *b = y + V::set1(1.772f) * (cb - V::set1(128.0f));
+}
+
+/// Horizontal 2x upsample, lanes = source pairs: W pairs yield 2W outputs,
+/// interleaved by V::store_zip(odd, even, p) as p[2i] = odd[i],
+/// p[2i+1] = even[i].
+template <class V>
+inline void upsample2x_row_vec(const float* src, int iw, float* out, int out_w) {
+  const V q1 = V::set1(0.25f);
+  const V q3 = V::set1(0.75f);
+  out[0] = upsample2x_generic(src, iw, 0);
+  int k = 0;
+  for (; k + V::kWidth < iw; k += V::kWidth) {
+    const V a = V::load(src + k);
+    const V b = V::load(src + k + 1);
+    V::store_zip(a * q3 + b * q1, a * q1 + b * q3, out + 2 * k + 1);
+  }
+  upsample2x_row_from(src, iw, out, out_w, k);
+}
+
+template <class V>
+inline void blend_rows_vec(const float* top, const float* bot, float w, int n,
+                           float* out) {
+  const V vt = V::set1(1.0f - w);
+  const V vb = V::set1(w);
+  int i = 0;
+  for (; i + V::kWidth <= n; i += V::kWidth)
+    (V::load(top + i) * vt + V::load(bot + i) * vb).store(out + i);
+  blend_rows_from(top, bot, w, n, out, i);
 }
 
 /// Register-blocked C[m x n] += A[m x k] * B[k x n] (row-major). The C tile

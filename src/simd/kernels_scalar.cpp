@@ -195,6 +195,15 @@ std::size_t stuff_bytes_scalar(const std::uint8_t* src, std::size_t n,
   return o;
 }
 
+void upsample2x_row_scalar(const float* src, int iw, float* out, int out_w) {
+  out[0] = detail::upsample2x_generic(src, iw, 0);
+  detail::upsample2x_row_from(src, iw, out, out_w, 0);
+}
+
+void blend_rows_scalar(const float* top, const float* bot, float w, int n, float* out) {
+  detail::blend_rows_from(top, bot, w, n, out, 0);
+}
+
 }  // namespace
 
 const KernelTable* scalar_kernels() {
@@ -215,6 +224,8 @@ const KernelTable* scalar_kernels() {
       &gemm_at_acc_scalar,
       &nonzero_mask_i16_64_scalar,
       &stuff_bytes_scalar,
+      &upsample2x_row_scalar,
+      &blend_rows_scalar,
   };
   return &table;
 }

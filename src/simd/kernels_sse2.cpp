@@ -34,6 +34,11 @@ struct V4 {
   static V4 load(const float* p) { return {_mm_loadu_ps(p)}; }
   static V4 set1(float x) { return {_mm_set1_ps(x)}; }
   void store(float* p) const { _mm_storeu_ps(p, v); }
+  /// Stores a0 b0 a1 b1 a2 b2 a3 b3.
+  static void store_zip(V4 a, V4 b, float* p) {
+    _mm_storeu_ps(p, _mm_unpacklo_ps(a.v, b.v));
+    _mm_storeu_ps(p + 4, _mm_unpackhi_ps(a.v, b.v));
+  }
   friend V4 operator+(V4 a, V4 b) { return {_mm_add_ps(a.v, b.v)}; }
   friend V4 operator-(V4 a, V4 b) { return {_mm_sub_ps(a.v, b.v)}; }
   friend V4 operator*(V4 a, V4 b) { return {_mm_mul_ps(a.v, b.v)}; }
@@ -410,6 +415,14 @@ std::size_t stuff_bytes_sse2(const std::uint8_t* src, std::size_t n,
   return o;
 }
 
+void upsample2x_row_sse2(const float* src, int iw, float* out, int out_w) {
+  detail::upsample2x_row_vec<V4>(src, iw, out, out_w);
+}
+
+void blend_rows_sse2(const float* top, const float* bot, float w, int n, float* out) {
+  detail::blend_rows_vec<V4>(top, bot, w, n, out);
+}
+
 }  // namespace
 
 const KernelTable* sse2_kernels() {
@@ -430,6 +443,8 @@ const KernelTable* sse2_kernels() {
       &gemm_at_acc_sse2,
       &nonzero_mask_i16_64_sse2,
       &stuff_bytes_sse2,
+      &upsample2x_row_sse2,
+      &blend_rows_sse2,
   };
   return &table;
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <random>
+#include <utility>
 
 #include "image/blocks.hpp"
 #include "image/color.hpp"
@@ -9,6 +13,7 @@
 #include "image/io.hpp"
 #include "image/metrics.hpp"
 #include "image/resample.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::image {
 namespace {
@@ -232,6 +237,101 @@ TEST(Resample, DownUpRoundTripOnSmoothPlane) {
   const PlaneF rt = upsample_2x2(downsample_2x2(p), 16, 16);
   for (int y = 2; y < 14; ++y)
     for (int x = 2; x < 14; ++x) EXPECT_NEAR(rt.at(x, y), p.at(x, y), 2.0f);
+}
+
+// The per-pixel loops downsample_2x2_into and upsample_2x2 ran before their
+// interior/edge split and row kernels, kept verbatim as memcmp oracles.
+PlaneF legacy_downsample_2x2(const PlaneF& plane) {
+  const int ow = (plane.width() + 1) / 2;
+  const int oh = (plane.height() + 1) / 2;
+  PlaneF out(ow, oh);
+  for (int y = 0; y < oh; ++y) {
+    for (int x = 0; x < ow; ++x) {
+      float sum = 0.0f;
+      int n = 0;
+      for (int dy = 0; dy < 2; ++dy) {
+        for (int dx = 0; dx < 2; ++dx) {
+          const int sx = 2 * x + dx;
+          const int sy = 2 * y + dy;
+          if (sx < plane.width() && sy < plane.height()) {
+            sum += plane.at(sx, sy);
+            ++n;
+          }
+        }
+      }
+      out.at(x, y) = sum / static_cast<float>(n);
+    }
+  }
+  return out;
+}
+
+PlaneF legacy_upsample_2x2(const PlaneF& plane, int out_w, int out_h) {
+  PlaneF out(out_w, out_h);
+  const int iw = plane.width();
+  const int ih = plane.height();
+  for (int y = 0; y < out_h; ++y) {
+    const float fy = (static_cast<float>(y) + 0.5f) / 2.0f - 0.5f;
+    const int y0 = std::clamp(static_cast<int>(std::floor(fy)), 0, ih - 1);
+    const int y1 = std::min(y0 + 1, ih - 1);
+    const float wy = std::clamp(fy - static_cast<float>(y0), 0.0f, 1.0f);
+    for (int x = 0; x < out_w; ++x) {
+      const float fx = (static_cast<float>(x) + 0.5f) / 2.0f - 0.5f;
+      const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0, iw - 1);
+      const int x1 = std::min(x0 + 1, iw - 1);
+      const float wx = std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
+      const float top = plane.at(x0, y0) * (1.0f - wx) + plane.at(x1, y0) * wx;
+      const float bot = plane.at(x0, y1) * (1.0f - wx) + plane.at(x1, y1) * wx;
+      out.at(x, y) = top * (1.0f - wy) + bot * wy;
+    }
+  }
+  return out;
+}
+
+PlaneF random_plane(int w, int h, std::uint64_t seed) {
+  PlaneF p(w, h);
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> dist(-300.0f, 300.0f);
+  for (float& v : p.data()) v = dist(rng);
+  return p;
+}
+
+const std::pair<int, int> kResampleSizes[] = {{1, 1}, {2, 1}, {1, 2}, {3, 5},  {5, 3},
+                                              {2, 2}, {7, 1}, {1, 9}, {15, 17}, {17, 11},
+                                              {33, 31}, {64, 48}, {225, 223}};
+
+TEST(Resample, DownsampleMatchesLegacyLoopBitExact) {
+  for (const auto& [w, h] : kResampleSizes) {
+    const PlaneF p = random_plane(w, h, 0xD0 + static_cast<std::uint64_t>(w * 1000 + h));
+    const PlaneF expect = legacy_downsample_2x2(p);
+    PlaneF got;
+    downsample_2x2_into(p, got);
+    ASSERT_EQ(got.width(), expect.width());
+    ASSERT_EQ(got.height(), expect.height());
+    EXPECT_EQ(0, std::memcmp(got.data().data(), expect.data().data(),
+                             got.size() * sizeof(float)))
+        << w << "x" << h;
+  }
+}
+
+TEST(Resample, UpsampleMatchesLegacyLoopBitExactAtEveryLevel) {
+  for (const auto& [w, h] : kResampleSizes) {
+    const PlaneF p = random_plane(w, h, 0x0B + static_cast<std::uint64_t>(w * 1000 + h));
+    // Both output sizes that ceil-halve to the source: 2w and 2w - 1.
+    for (const int out_w : {2 * w, 2 * w - 1}) {
+      for (const int out_h : {2 * h, 2 * h - 1}) {
+        const PlaneF expect = legacy_upsample_2x2(p, out_w, out_h);
+        for (simd::Level l : {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2}) {
+          if (!simd::set_level(l)) continue;
+          const PlaneF got = upsample_2x2(p, out_w, out_h);
+          EXPECT_EQ(0, std::memcmp(got.data().data(), expect.data().data(),
+                                   got.size() * sizeof(float)))
+              << w << "x" << h << " -> " << out_w << "x" << out_h
+              << " level=" << simd::level_name(l);
+        }
+        simd::set_level(simd::max_supported_level());
+      }
+    }
+  }
 }
 
 TEST(Resample, ResizeNearestCorners) {

@@ -6,14 +6,25 @@
 // be bit-identical to their per-block counterparts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "image/blocks.hpp"
+#include "image/color.hpp"
+#include "image/resample.hpp"
+#include "jpeg/bitio.hpp"
+#include "jpeg/block_coder.hpp"
 #include "jpeg/codec.hpp"
 #include "jpeg/dct.hpp"
+#include "jpeg/decoder.hpp"
+#include "jpeg/huffman.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
 #include "jpeg/zigzag.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 namespace {
@@ -324,6 +335,217 @@ TEST(CodecContext, DecodeThroughReusedContextMatchesFresh) {
   EXPECT_EQ(d1, decode(big_bytes, fresh1));
   EXPECT_EQ(d2, decode(small_bytes, fresh2));
   EXPECT_EQ(d1, d3);
+}
+
+// --- decode reconstruction vs the legacy composition ------------------------
+//
+// The decoder fuses 4:2:0 chroma upsampling into the colour convert, one
+// output row at a time. The oracle is the composition it replaced, built
+// from public stages the way perfbench/src/layers.cpp replays it:
+// decode_coefficients -> dequantize_batch -> idct_batch ->
+// untile_blocks_from -> crop -> upsample_2x2 -> 128-pad -> to_rgb. As in
+// the pre-fusion decoder, a chroma plane is upsampled only when its block
+// grid is half the luma grid both ways; a full-size plane is used as is.
+
+Image legacy_decode(ByteSpan bytes, int threads) {
+  CodecContext ctx;
+  const JpegInfo info = decode_coefficients(bytes, ctx, threads);
+  const int comps = info.components;
+  std::array<PlaneF, 3> planes;
+  for (int c = 0; c < comps; ++c) {
+    const pipeline::QuantPlane& q = ctx.decode_coeffs[static_cast<std::size_t>(c)];
+    CoeffPlane fp;
+    fp.reshape(q.blocks_x(), q.blocks_y());
+    const int slot = c == 0 ? 0 : 1;
+    const QuantTable& table =
+        info.quant_tables[slot] ? *info.quant_tables[slot] : *info.quant_tables[0];
+    dequantize_batch(q.data(), q.block_count(), table, fp.data());
+    idct_batch(fp.data(), q.block_count());
+    PlaneF& plane = planes[static_cast<std::size_t>(c)];
+    plane.reset(q.blocks_x() * kBlockDim, q.blocks_y() * kBlockDim);
+    image::untile_blocks_from(fp.data(), q.blocks_x(), q.blocks_y(), plane, 128.0f);
+  }
+  if (comps == 1) {
+    Image img(info.width, info.height, 1);
+    image::from_plane(planes[0], img, 0);
+    return img;
+  }
+  const PlaneF& luma = planes[0];
+  for (std::size_t c = 1; c < 3; ++c) {
+    const pipeline::QuantPlane& q = ctx.decode_coeffs[c];
+    if (2 * q.blocks_x() != ctx.decode_coeffs[0].blocks_x() ||
+        2 * q.blocks_y() != ctx.decode_coeffs[0].blocks_y())
+      continue;
+    PlaneF& p = planes[c];
+    const int need_w = (info.width + 1) / 2, need_h = (info.height + 1) / 2;
+    PlaneF cropped(need_w, need_h);
+    for (int y = 0; y < need_h; ++y)
+      for (int x = 0; x < need_w; ++x) cropped.at(x, y) = p.at(x, y);
+    const PlaneF up = image::upsample_2x2(cropped, info.width, info.height);
+    PlaneF padded(luma.width(), luma.height(), 128.0f);
+    for (int y = 0; y < info.height; ++y)
+      for (int x = 0; x < info.width; ++x) padded.at(x, y) = up.at(x, y);
+    p = std::move(padded);
+  }
+  return image::to_rgb(luma, planes[1], planes[2], info.width, info.height);
+}
+
+/// memcmp on the pixel bytes: a failing 1080p EXPECT_EQ would print
+/// megabytes of pixels.
+bool same_pixels(const Image& a, const Image& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         a.channels() == b.channels() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size()) == 0;
+}
+
+const simd::Level kAllLevels[] = {simd::Level::kScalar, simd::Level::kSse2,
+                                  simd::Level::kAvx2};
+
+class ReconstructionEquivalence : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(ReconstructionEquivalence, FusedDecodeMatchesLegacyComposition) {
+  const auto [w, h] = GetParam();
+  struct Mode {
+    const char* name;
+    int channels;
+    Subsampling sub;
+  };
+  const Mode modes[] = {{"gray", 1, Subsampling::k444},
+                        {"444", 3, Subsampling::k444},
+                        {"420", 3, Subsampling::k420}};
+  CodecContext ctx;  // shared: arenas reshape across modes, sizes and levels
+  for (const Mode& mode : modes) {
+    const Image img = textured_image(w, h, mode.channels, 0x5EED + w * 7 + h);
+    for (int restart : {0, 1}) {
+      EncoderConfig cfg;
+      cfg.quality = 75;
+      cfg.subsampling = mode.sub;
+      cfg.restart_interval = restart;
+      const std::vector<std::uint8_t> bytes = encode(img, cfg);
+      ASSERT_TRUE(simd::set_level(simd::Level::kScalar));
+      const Image expect = legacy_decode(bytes, 1);
+      for (simd::Level level : kAllLevels) {
+        if (!simd::set_level(level)) continue;
+        for (int threads : {1, 4}) {
+          EXPECT_TRUE(same_pixels(decode(bytes, ctx, threads), expect))
+              << w << "x" << h << " " << mode.name << " restart=" << restart
+              << " level=" << simd::level_name(level) << " threads=" << threads;
+        }
+      }
+      simd::set_level(simd::max_supported_level());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, ReconstructionEquivalence,
+    ::testing::Values(std::pair{1, 1}, std::pair{2, 1}, std::pair{1, 2}, std::pair{3, 5},
+                      std::pair{15, 17}, std::pair{17, 11}, std::pair{224, 224},
+                      std::pair{225, 223}, std::pair{1919, 1079}, std::pair{1920, 1080}),
+    [](const ::testing::TestParamInfo<std::pair<int, int>>& info) {
+      return std::to_string(info.param.first) + "x" + std::to_string(info.param.second);
+    });
+
+/// A baseline 3-component stream with arbitrary sampling bytes (the encoder
+/// only emits 4:4:4 and 4:2:0): one DQT and one DC/AC Huffman pair shared by
+/// all components, random small quantized coefficients in every block.
+std::vector<std::uint8_t> handmade_stream(int w, int h, const std::array<int, 3>& hv,
+                                          std::uint64_t seed) {
+  std::vector<std::uint8_t> out = {0xFF, 0xD8};
+  const auto segment = [&](std::uint8_t marker, const std::vector<std::uint8_t>& body) {
+    const std::size_t len = body.size() + 2;
+    out.insert(out.end(), {0xFF, marker, static_cast<std::uint8_t>(len >> 8),
+                           static_cast<std::uint8_t>(len & 0xFF)});
+    out.insert(out.end(), body.begin(), body.end());
+  };
+  const QuantTable table = QuantTable::annex_k_luma();
+  std::vector<std::uint8_t> dqt = {0x00};
+  for (int k = 0; k < 64; ++k)
+    dqt.push_back(static_cast<std::uint8_t>(table.step(kZigzag[static_cast<std::size_t>(k)])));
+  segment(0xDB, dqt);
+  std::vector<std::uint8_t> sof = {8,
+                                   static_cast<std::uint8_t>(h >> 8),
+                                   static_cast<std::uint8_t>(h & 0xFF),
+                                   static_cast<std::uint8_t>(w >> 8),
+                                   static_cast<std::uint8_t>(w & 0xFF),
+                                   3};
+  for (int c = 0; c < 3; ++c)
+    sof.insert(sof.end(), {static_cast<std::uint8_t>(c + 1),
+                           static_cast<std::uint8_t>(hv[static_cast<std::size_t>(c)]), 0});
+  segment(0xC0, sof);
+  const HuffmanSpec dc_spec = HuffmanSpec::default_dc_luma();
+  const HuffmanSpec ac_spec = HuffmanSpec::default_ac_luma();
+  for (const auto& [klass, spec] : {std::pair{0, &dc_spec}, std::pair{1, &ac_spec}}) {
+    std::vector<std::uint8_t> dht = {static_cast<std::uint8_t>(klass << 4)};
+    dht.insert(dht.end(), spec->counts.begin() + 1, spec->counts.end());
+    dht.insert(dht.end(), spec->symbols.begin(), spec->symbols.end());
+    segment(0xC4, dht);
+  }
+  segment(0xDA, {3, 1, 0x00, 2, 0x00, 3, 0x00, 0, 63, 0});
+
+  int max_h = 1, max_v = 1;
+  for (int c : hv) {
+    max_h = std::max(max_h, c >> 4);
+    max_v = std::max(max_v, c & 0x0F);
+  }
+  const int mcus_x = (w + 8 * max_h - 1) / (8 * max_h);
+  const int mcus_y = (h + 8 * max_v - 1) / (8 * max_v);
+  const HuffmanEncoder dc(dc_spec), ac(ac_spec);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> dc_dist(-40, 40), ac_dist(-6, 6), pos(1, 20);
+  BitWriter bw(out);
+  int pred[3] = {};
+  for (int m = 0; m < mcus_x * mcus_y; ++m)
+    for (int c = 0; c < 3; ++c)
+      for (int b = 0; b < (hv[static_cast<std::size_t>(c)] >> 4) *
+                              (hv[static_cast<std::size_t>(c)] & 0x0F);
+           ++b) {
+        QuantizedBlock blk{};
+        blk[0] = static_cast<std::int16_t>(dc_dist(rng));
+        for (int i = 0; i < 4; ++i)
+          blk[static_cast<std::size_t>(pos(rng))] = static_cast<std::int16_t>(ac_dist(rng));
+        encode_block(bw, blk, pred[c], dc, ac);
+      }
+  bw.flush();
+  out.insert(out.end(), {0xFF, 0xD9});
+  return out;
+}
+
+TEST(ReconstructionMixedSampling, OneChromaPlaneFullOneHalfDecodesAsBefore) {
+  for (const std::array<int, 3>& hv :
+       {std::array<int, 3>{0x22, 0x11, 0x22}, std::array<int, 3>{0x22, 0x22, 0x11}}) {
+    for (const auto& [w, h] : {std::pair{17, 11}, std::pair{33, 31}, std::pair{1, 1}}) {
+      const std::vector<std::uint8_t> bytes = handmade_stream(w, h, hv, 0x3A + w);
+      ASSERT_TRUE(simd::set_level(simd::Level::kScalar));
+      const Image expect = legacy_decode(bytes, 1);
+      for (simd::Level level : kAllLevels) {
+        if (!simd::set_level(level)) continue;
+        CodecContext ctx;
+        EXPECT_TRUE(same_pixels(decode(bytes, ctx), expect))
+            << w << "x" << h << " sampling " << std::hex << hv[0] << "/" << hv[1] << "/"
+            << hv[2] << " level=" << simd::level_name(level);
+      }
+      simd::set_level(simd::max_supported_level());
+    }
+  }
+}
+
+TEST(ReconstructionMixedSampling, UnsupportedSamplingIsATypedError) {
+  // Chroma denser than luma, 4:2:2 and 4:4:0 chroma, and a 2x1/1x2 mix:
+  // the scan is well formed for its own header, so only reconstruction can
+  // refuse it — with the decoder's std::runtime_error.
+  for (const std::array<int, 3>& hv :
+       {std::array<int, 3>{0x11, 0x22, 0x22}, std::array<int, 3>{0x11, 0x11, 0x22},
+        std::array<int, 3>{0x21, 0x11, 0x11}, std::array<int, 3>{0x12, 0x11, 0x11},
+        std::array<int, 3>{0x22, 0x21, 0x12}}) {
+    for (const auto& [w, h] : {std::pair{8, 8}, std::pair{17, 11}, std::pair{40, 24}}) {
+      const std::vector<std::uint8_t> bytes = handmade_stream(w, h, hv, 0x7 + h);
+      CodecContext ctx;
+      EXPECT_THROW(decode(bytes, ctx), std::runtime_error)
+          << w << "x" << h << " sampling " << std::hex << hv[0] << "/" << hv[1] << "/"
+          << hv[2];
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // through the public decode API.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
+#include "api/session.hpp"
 #include "data/synthetic.hpp"
 #include "jpeg/codec.hpp"
 
@@ -132,6 +134,61 @@ TEST(Robustness, ScanDataReplacedWithNoise) {
     for (std::size_t i = sos + 14; i < mutated.size() - 2; ++i)
       mutated[i] = static_cast<std::uint8_t>(rng() & 0xFF);
     expect_graceful(mutated);
+  }
+}
+
+TEST(Robustness, PatchedSamplingFactorsAreTypedErrors) {
+  // A 4:2:0 colour stream. Re-label its SOF sampling bytes
+  // to layouts the decoder does not reconstruct (4:2:2 and 4:4:0 luma,
+  // chroma denser than luma): the scan no longer matches its header, so
+  // decode may fail in the entropy stage or in reconstruction, but always
+  // with std::runtime_error and, through the api, kDecodeError.
+  data::GeneratorConfig gen;
+  gen.width = 48;
+  gen.height = 40;
+  gen.channels = 3;
+  gen.seed = 99;
+  const image::Image img =
+      data::SyntheticDatasetGenerator(gen).render(data::ClassKind::kBandNoise, 0);
+  EncoderConfig ec;
+  ec.quality = 80;
+  ec.subsampling = Subsampling::k420;
+  const std::vector<std::uint8_t> full = encode(img, ec);
+  std::size_t sof = 0;
+  for (std::size_t i = 0; i + 1 < full.size(); ++i)
+    if (full[i] == 0xFF && full[i + 1] == 0xC0) {
+      sof = i;
+      break;
+    }
+  ASSERT_GT(sof, 0u);
+  // FF C0, length (2), precision, height (2), width (2), count, then
+  // (id, sampling, table) per component.
+  const std::size_t hv0 = sof + 11;
+  ASSERT_EQ(full[sof + 9], 3);
+  ASSERT_EQ(full[hv0], 0x22);
+  ASSERT_EQ(full[hv0 + 3], 0x11);
+  ASSERT_EQ(full[hv0 + 6], 0x11);
+  api::Session session;
+  const api::Codec codec = session.codec();
+  for (const std::array<std::uint8_t, 3>& hv :
+       {std::array<std::uint8_t, 3>{0x21, 0x11, 0x11}, std::array<std::uint8_t, 3>{0x12, 0x11, 0x11},
+        std::array<std::uint8_t, 3>{0x11, 0x22, 0x22}, std::array<std::uint8_t, 3>{0x11, 0x11, 0x22},
+        std::array<std::uint8_t, 3>{0x22, 0x21, 0x11}, std::array<std::uint8_t, 3>{0x22, 0x11, 0x12}}) {
+    std::vector<std::uint8_t> patched = full;
+    for (std::size_t c = 0; c < 3; ++c) patched[hv0 + 3 * c] = hv[c];
+    EXPECT_THROW(decode(patched), std::runtime_error)
+        << std::hex << int{hv[0]} << "/" << int{hv[1]} << "/" << int{hv[2]};
+    EXPECT_EQ(codec.decode(patched).status().code(), api::StatusCode::kDecodeError)
+        << std::hex << int{hv[0]} << "/" << int{hv[1]} << "/" << int{hv[2]};
+  }
+  // Relabelled to layouts the decoder does reconstruct (full-resolution
+  // chroma, one plane full and one half): any outcome but a crash is fine.
+  for (const std::array<std::uint8_t, 3>& hv :
+       {std::array<std::uint8_t, 3>{0x22, 0x22, 0x22}, std::array<std::uint8_t, 3>{0x22, 0x22, 0x11},
+        std::array<std::uint8_t, 3>{0x11, 0x11, 0x11}}) {
+    std::vector<std::uint8_t> patched = full;
+    for (std::size_t c = 0; c < 3; ++c) patched[hv0 + 3 * c] = hv[c];
+    expect_graceful(patched);
   }
 }
 

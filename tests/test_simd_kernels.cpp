@@ -8,6 +8,8 @@
 // the determinism contract documented in simd/dispatch.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -376,6 +378,68 @@ TEST(SimdKernels, StuffBytesMatchesReferenceOnFfPatterns) {
     run(Level::kScalar);
     for_each_simd_level(run);
   }
+}
+
+/// image::upsample_2x2's per-pixel horizontal rule, written out the way the
+/// pre-kernel loop computed it (floor, clamped taps, a * (1 - w) + b * w).
+float bilinear_column(const float* src, int iw, int x) {
+  const float fx = (static_cast<float>(x) + 0.5f) / 2.0f - 0.5f;
+  const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0, iw - 1);
+  const int x1 = std::min(x0 + 1, iw - 1);
+  const float wx = std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
+  return src[x0] * (1.0f - wx) + src[x1] * wx;
+}
+
+TEST(SimdKernels, Upsample2xRowMatchesBilinearRuleOnEveryLength) {
+  // Output lengths 1..67 cover both parities of every source width 1..34:
+  // iw 1 and 2 (edge columns only), every vector tail at 4 and 8 lanes.
+  // Sources are sized exactly, so an over-read trips the sanitizer legs.
+  std::mt19937_64 rng(0x2A2);
+  std::uniform_real_distribution<float> dist(-300.0f, 300.0f);
+  for (int out_w = 1; out_w <= 67; ++out_w) {
+    const int iw = (out_w + 1) / 2;
+    std::vector<float> src(static_cast<std::size_t>(iw));
+    for (float& v : src) v = dist(rng);
+    std::vector<float> expect(static_cast<std::size_t>(out_w));
+    for (int x = 0; x < out_w; ++x)
+      expect[static_cast<std::size_t>(x)] = bilinear_column(src.data(), iw, x);
+    const auto run = [&](Level l) {
+      std::vector<float> got(static_cast<std::size_t>(out_w));
+      kernels().upsample2x_row(src.data(), iw, got.data(), out_w);
+      EXPECT_EQ(0, std::memcmp(got.data(), expect.data(), got.size() * sizeof(float)))
+          << "level=" << level_name(l) << " out_w=" << out_w << " iw=" << iw;
+    };
+    set_level(Level::kScalar);
+    run(Level::kScalar);
+    for_each_simd_level(run);
+  }
+  set_level(max_supported_level());
+}
+
+TEST(SimdKernels, BlendRowsMatchesScalarOnEveryLength) {
+  std::mt19937_64 rng(0xB1E);
+  std::uniform_real_distribution<float> dist(-300.0f, 300.0f);
+  for (int n = 1; n <= 67; ++n) {
+    std::vector<float> top(static_cast<std::size_t>(n)), bot(static_cast<std::size_t>(n));
+    for (float& v : top) v = dist(rng);
+    for (float& v : bot) v = dist(rng);
+    // The weights upsample_2x2 uses, plus an arbitrary one.
+    for (float w : {0.0f, 0.25f, 0.75f, 1.0f, 0.3f}) {
+      std::vector<float> expect(static_cast<std::size_t>(n));
+      for (std::size_t i = 0; i < expect.size(); ++i)
+        expect[i] = top[i] * (1.0f - w) + bot[i] * w;
+      const auto run = [&](Level l) {
+        std::vector<float> got(static_cast<std::size_t>(n));
+        kernels().blend_rows(top.data(), bot.data(), w, n, got.data());
+        EXPECT_EQ(0, std::memcmp(got.data(), expect.data(), got.size() * sizeof(float)))
+            << "level=" << level_name(l) << " n=" << n << " w=" << w;
+      };
+      set_level(Level::kScalar);
+      run(Level::kScalar);
+      for_each_simd_level(run);
+    }
+  }
+  set_level(max_supported_level());
 }
 
 }  // namespace
