@@ -17,6 +17,7 @@
 #include "jpeg/dct.hpp"
 #include "jpeg/decoder.hpp"
 #include "jpeg/quant.hpp"
+#include "runtime/parallel.hpp"
 #include "simd/dispatch.hpp"
 
 using namespace dnj;
@@ -151,6 +152,50 @@ void BM_TableDesign(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(core::DeepNJpeg::design(ds));
 }
 BENCHMARK(BM_TableDesign);
+
+// --- band-parallel pixel stages ---
+
+// The offline_1080p op: decode a 1920x1080 4:2:0 q90 stream and re-encode
+// it with custom (DeepN) tables at 4:4:4, through one warm context.
+// threads:1 is the serial floor; threads:0 lets frames of two or more
+// bands (jpeg/pipeline/bands.hpp) fan their pixel stages out over the
+// runtime pool. Wall time, since the work spans threads.
+void BM_Transcode1080p(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  data::GeneratorConfig g;
+  g.width = 1920;
+  g.height = 1080;
+  g.channels = 3;
+  g.seed = 7;
+  const image::Image img = data::SyntheticDatasetGenerator(g).generate(1).samples[0].image;
+  jpeg::EncoderConfig src_cfg;
+  src_cfg.quality = 90;
+  src_cfg.subsampling = jpeg::Subsampling::k420;
+  const auto bytes = jpeg::encode(img, src_cfg);
+  jpeg::EncoderConfig cfg = core::custom_table_config(deepn_table());
+  cfg.subsampling = jpeg::Subsampling::k444;
+  jpeg::pipeline::CodecContext ctx;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        jpeg::encode(jpeg::decode(bytes, ctx, threads), cfg, ctx, threads));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Transcode1080p)->ArgName("threads")->Arg(1)->Arg(0)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The fixed cost of one parallel region: chunks with near-empty bodies,
+// spread over the pool. Set against a band's work (4096 blocks at the
+// BM_FdctBatch per-block rate, the cheapest banded stage), it sizes
+// pipeline::kMinBandBlocks.
+void BM_PoolHandoff(benchmark::State& state) {
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  std::vector<std::size_t> sink(chunks);
+  for (auto _ : state) {
+    runtime::parallel_for(0, chunks, 1, [&](std::size_t i) { sink[i] = i; });
+    benchmark::DoNotOptimize(sink.data());
+  }
+}
+BENCHMARK(BM_PoolHandoff)->ArgName("chunks")->Arg(4)->Arg(16)->UseRealTime();
 
 // --- per-level SIMD kernel micro-benches ---
 //

@@ -73,4 +73,21 @@ void tile_image_blocks_into(const Image& img, int c, int grid_bx, int grid_by,
 void untile_blocks_from(const float* src, int grid_bx, int grid_by, PlaneF& plane,
                         float bias = 0.0f);
 
+// Row-band forms. Each touches only block rows [by0, by1) of the grid (and,
+// for untiling, only the plane rows those blocks cover), writing exactly
+// the samples the whole-grid call writes there, so disjoint bands may run
+// concurrently and their union equals the whole-grid call byte for byte.
+
+/// Block rows [by0, by1) of tile_blocks_into.
+void tile_block_rows_into(const PlaneF& plane, int grid_bx, int by0, int by1, float* dst,
+                          float bias = 0.0f);
+
+/// Block rows [by0, by1) of tile_image_blocks_into.
+void tile_image_block_rows_into(PixelView img, int c, int grid_bx, int by0, int by1,
+                                float* dst, float bias = 0.0f);
+
+/// Block rows [by0, by1) of untile_blocks_from.
+void untile_block_rows_from(const float* src, int grid_bx, int by0, int by1, PlaneF& plane,
+                            float bias = 0.0f);
+
 }  // namespace dnj::image

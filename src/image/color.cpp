@@ -28,8 +28,12 @@ void to_ycbcr_into(PixelView img, YCbCrPlanes& out) {
   out.y.reset(img.width, img.height);
   out.cb.reset(img.width, img.height);
   out.cr.reset(img.width, img.height);
+  to_ycbcr_rows(img, out, 0, img.height);
+}
+
+void to_ycbcr_rows(PixelView img, YCbCrPlanes& out, int y0, int y1) {
   if (img.channels == 1) {
-    for (int y = 0; y < img.height; ++y)
+    for (int y = y0; y < y1; ++y)
       for (int x = 0; x < img.width; ++x) {
         out.y.at(x, y) = static_cast<float>(img.at(x, y, 0));
         out.cb.at(x, y) = 128.0f;
@@ -38,10 +42,12 @@ void to_ycbcr_into(PixelView img, YCbCrPlanes& out) {
     return;
   }
   // The interleaved pixel buffer and the three planes are contiguous and
-  // congruent, so the whole image is one kernel call.
-  simd::kernels().rgb_to_ycbcr(img.pixels, img.pixel_count(),
-                               out.y.data().data(), out.cb.data().data(),
-                               out.cr.data().data());
+  // congruent, so a row range is one kernel call.
+  const std::size_t first = static_cast<std::size_t>(y0) * img.width;
+  simd::kernels().rgb_to_ycbcr(img.pixels + 3 * first,
+                               static_cast<std::size_t>(y1 - y0) * img.width,
+                               out.y.data().data() + first, out.cb.data().data() + first,
+                               out.cr.data().data() + first);
 }
 
 void to_ycbcr_into(const Image& img, YCbCrPlanes& out) {

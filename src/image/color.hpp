@@ -37,6 +37,10 @@ YCbCrPlanes to_ycbcr(const Image& img);
 void to_ycbcr_into(PixelView img, YCbCrPlanes& out);
 void to_ycbcr_into(const Image& img, YCbCrPlanes& out);
 
+/// Pixel rows [y0, y1) of to_ycbcr_into, written into planes the caller
+/// already sized to the image. Disjoint row ranges may run concurrently.
+void to_ycbcr_rows(PixelView img, YCbCrPlanes& out, int y0, int y1);
+
 /// Reassembles an RGB image from YCbCr planes; all planes must share the
 /// target dimensions (or exceed them, for block-padded planes).
 Image to_rgb(const YCbCrPlanes& planes, int width, int height);

@@ -15,18 +15,22 @@ PlaneF downsample_2x2(const PlaneF& plane) {
 }
 
 void downsample_2x2_into(const PlaneF& plane, PlaneF& out) {
+  const int oh = (plane.height() + 1) / 2;
+  out.reset((plane.width() + 1) / 2, oh);
+  downsample_2x2_rows(plane, out, 0, oh);
+}
+
+void downsample_2x2_rows(const PlaneF& plane, PlaneF& out, int y0, int y1) {
   const int w = plane.width();
   const int h = plane.height();
-  const int ow = (w + 1) / 2;
-  const int oh = (h + 1) / 2;
-  out.reset(ow, oh);
+  const int ow = out.width();
   // Output columns below full_x see both source columns, rows below full_y
   // both source rows; only an odd trailing column/row averages fewer. Every
   // output sums its in-plane samples from 0 in (0,0),(1,0),(0,1),(1,1)
   // order and divides by their count.
   const int full_x = w / 2;
   const int full_y = h / 2;
-  for (int y = 0; y < oh; ++y) {
+  for (int y = y0; y < y1; ++y) {
     const float* r0 = plane.data().data() + static_cast<std::size_t>(2 * y) * w;
     float* o = out.data().data() + static_cast<std::size_t>(y) * ow;
     if (y < full_y) {

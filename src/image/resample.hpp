@@ -16,6 +16,11 @@ PlaneF downsample_2x2(const PlaneF& plane);
 /// warm) and writes the same samples downsample_2x2 produces.
 void downsample_2x2_into(const PlaneF& plane, PlaneF& out);
 
+/// Output rows [y0, y1) of downsample_2x2_into, written into an `out` the
+/// caller already sized to ceil(w/2) x ceil(h/2). Disjoint row ranges may
+/// run concurrently.
+void downsample_2x2_rows(const PlaneF& plane, PlaneF& out, int y0, int y1);
+
 /// Bilinear 2x upsample to exactly (out_w, out_h), which must satisfy
 /// ceil(out_w/2) == plane.width() and ceil(out_h/2) == plane.height().
 PlaneF upsample_2x2(const PlaneF& plane, int out_w, int out_h);

@@ -13,6 +13,7 @@
 #include "jpeg/dct.hpp"
 #include "jpeg/huffman.hpp"
 #include "jpeg/markers.hpp"
+#include "jpeg/pipeline/bands.hpp"
 #include "jpeg/zigzag.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
@@ -206,73 +207,107 @@ class Parser {
         num_threads);
   }
 
-  image::Image reconstruct() {
-    // Per component: batched dequantize into the float coefficient arena,
-    // in-place batched IDCT, then untile (+128 level unshift) into the
-    // component's plane arena. Identical arithmetic to the seed's per-block
-    // idct(dequantize(...)) loop, with zero per-block allocations.
+  image::Image reconstruct(int num_threads) {
+    // Checked up front, on the calling thread, before any band runs.
+    const QuantTable* tables[pipeline::kMaxComponents] = {};
+    std::size_t blocks_per_mcu_row = 0;
     for (std::size_t ci = 0; ci < comps.size(); ++ci) {
       const FrameComponent& c = comps[ci];
       if (!info.quant_tables[c.tq]) fail("component references undefined DQT");
-      const QuantTable& qt = *info.quant_tables[c.tq];
-      pipeline::CoeffPlane& fp = ctx_.decode_fp;
-      fp.reshape(c.blocks_x, c.blocks_y);
-      dequantize_batch(c.coeffs, fp.block_count(), qt, fp.data());
-      idct_batch(fp.data(), fp.block_count());
-      PlaneF& plane = ctx_.decode_planes[ci];
-      plane.reset(c.blocks_x * kBlockDim, c.blocks_y * kBlockDim);
-      image::untile_blocks_from(fp.data(), c.blocks_x, c.blocks_y, plane, 128.0f);
+      tables[ci] = &*info.quant_tables[c.tq];
+      ctx_.decode_fp[ci].reshape(c.blocks_x, c.blocks_y);
+      ctx_.decode_planes[ci].reset(c.blocks_x * kBlockDim, c.blocks_y * kBlockDim);
+      blocks_per_mcu_row += static_cast<std::size_t>(c.blocks_x) * c.v;
+    }
+    // Colour: luma must carry the maximum sampling factors; each chroma
+    // plane is either full resolution (read in place) or exactly half in
+    // both directions (4:2:0, upsampled row by row).
+    bool half[2] = {false, false};
+    if (comps.size() == 3) {
+      if (comps[0].h != info.max_h || comps[0].v != info.max_v)
+        fail("unsupported sampling factor combination");
+      for (int c = 0; c < 2; ++c) {
+        const FrameComponent& fc = comps[static_cast<std::size_t>(c) + 1];
+        if (fc.h == info.max_h && fc.v == info.max_v) continue;
+        if (2 * fc.h != info.max_h || 2 * fc.v != info.max_v)
+          fail("unsupported sampling factor combination");
+        half[c] = true;
+      }
     }
 
-    if (comps.size() == 1) {
-      image::Image img(info.width, info.height, 1);
-      image::from_plane(ctx_.decode_planes[0], img, 0);
-      return img;
-    }
+    // The pixel stages run band by band (see pipeline/bands.hpp); every
+    // band writes only its own rows of the context arenas, so the pixels
+    // never depend on the thread count. First, per component: batched
+    // dequantize into the float coefficient arena, in-place batched IDCT,
+    // then untile (+128 level unshift) into the component's plane.
+    const pipeline::BandPlan plan(blocks_per_mcu_row, mcus_y);
+    plan.run(num_threads, [&](const pipeline::Band& band) {
+      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+        const FrameComponent& c = comps[ci];
+        pipeline::CoeffPlane& fp = ctx_.decode_fp[ci];
+        const int by0 = band.first_row * c.v;
+        const int by1 = band.end_row * c.v;
+        const std::size_t first = static_cast<std::size_t>(by0) * c.blocks_x;
+        const std::size_t count = static_cast<std::size_t>(by1 - by0) * c.blocks_x;
+        dequantize_batch(c.coeffs + first * 64, count, *tables[ci], fp.block(first));
+        idct_batch(fp.block(first), count);
+        image::untile_block_rows_from(fp.data(), c.blocks_x, by0, by1,
+                                      ctx_.decode_planes[ci], 128.0f);
+      }
+    });
 
-    // Colour: one pass over the output rows. Full-resolution chroma is read
-    // in place; 4:2:0 chroma stays at its native size and is upsampled row
-    // by row (crop-aware: only the top-left ceil(W/2) x ceil(H/2) samples
-    // are read) into context row buffers, straight ahead of the colour
-    // convert. Same samples as crop -> image::upsample_2x2 -> to_rgb.
+    // Then one pass over the output rows of each band. Full-resolution
+    // chroma is read in place; 4:2:0 chroma stays at its native size and
+    // is upsampled row by row (crop-aware: only the top-left
+    // ceil(W/2) x ceil(H/2) samples are read) into the band's own row
+    // buffers, straight ahead of the colour convert. Same samples as
+    // crop -> image::upsample_2x2 -> to_rgb.
     const int width = info.width;
     const int height = info.height;
-    const FrameComponent& luma_c = comps[0];
-    if (luma_c.h != info.max_h || luma_c.v != info.max_v)
-      fail("unsupported sampling factor combination");
+    const int mcu_h = info.max_v * kBlockDim;
     const std::size_t row_floats = static_cast<std::size_t>(width);
-    ctx_.decode_rows.resize(6 * row_floats);
-    std::optional<image::Upsample2x2Rows> upsample[2];
-    for (int c = 0; c < 2; ++c) {
-      const FrameComponent& fc = comps[static_cast<std::size_t>(c) + 1];
-      if (fc.h == info.max_h && fc.v == info.max_v) continue;
-      if (2 * fc.h != info.max_h || 2 * fc.v != info.max_v)
-        fail("unsupported sampling factor combination");
-      const PlaneF& p = ctx_.decode_planes[static_cast<std::size_t>(c) + 1];
-      upsample[c].emplace(p.data().data(), static_cast<std::size_t>(p.width()),
-                          (width + 1) / 2, (height + 1) / 2, width,
-                          ctx_.decode_rows.data() + (3 * c + 1) * row_floats);
-    }
     auto plane_row = [&](std::size_t ci, int y) {
       const PlaneF& p = ctx_.decode_planes[ci];
       return p.data().data() + static_cast<std::size_t>(y) * p.width();
     };
     const simd::KernelTable& k = simd::kernels();
-    image::Image img(width, height, 3);
-    for (int y = 0; y < height; ++y) {
-      const float* chroma[2];
-      for (int c = 0; c < 2; ++c) {
-        if (!upsample[c]) {
-          chroma[c] = plane_row(static_cast<std::size_t>(c) + 1, y);
-          continue;
-        }
-        float* out = ctx_.decode_rows.data() + 3 * c * row_floats;
-        upsample[c]->row(y, out);
-        chroma[c] = out;
-      }
-      k.ycbcr_to_rgb_row(plane_row(0, y), chroma[0], chroma[1], width,
-                         img.data().data() + static_cast<std::size_t>(y) * width * 3);
+    image::Image img(width, height, static_cast<int>(comps.size()));
+    std::uint8_t* out = img.data().data();
+    if (comps.size() == 1) {
+      plan.run(num_threads, [&](const pipeline::Band& band) {
+        for (int y = band.first_row * mcu_h; y < std::min(height, band.end_row * mcu_h); ++y)
+          k.f32_to_u8_row(plane_row(0, y), width, out + static_cast<std::size_t>(y) * width);
+      });
+      return img;
     }
+    // Per band, per chroma plane: one output row and the streamer's two
+    // cached source rows.
+    ctx_.decode_rows.resize(static_cast<std::size_t>(plan.bands()) * 6 * row_floats);
+    plan.run(num_threads, [&](const pipeline::Band& band) {
+      float* rows = ctx_.decode_rows.data() + static_cast<std::size_t>(band.index) * 6 * row_floats;
+      std::optional<image::Upsample2x2Rows> upsample[2];
+      for (int c = 0; c < 2; ++c) {
+        if (!half[c]) continue;
+        const PlaneF& p = ctx_.decode_planes[static_cast<std::size_t>(c) + 1];
+        upsample[c].emplace(p.data().data(), static_cast<std::size_t>(p.width()),
+                            (width + 1) / 2, (height + 1) / 2, width,
+                            rows + (3 * c + 1) * row_floats);
+      }
+      for (int y = band.first_row * mcu_h; y < std::min(height, band.end_row * mcu_h); ++y) {
+        const float* chroma[2];
+        for (int c = 0; c < 2; ++c) {
+          if (!upsample[c]) {
+            chroma[c] = plane_row(static_cast<std::size_t>(c) + 1, y);
+            continue;
+          }
+          float* blended = rows + 3 * c * row_floats;
+          upsample[c]->row(y, blended);
+          chroma[c] = blended;
+        }
+        k.ycbcr_to_rgb_row(plane_row(0, y), chroma[0], chroma[1], width,
+                           out + static_cast<std::size_t>(y) * width * 3);
+      }
+    });
     return img;
   }
 
@@ -442,7 +477,7 @@ image::Image decode(ByteSpan bytes, pipeline::CodecContext& ctx, int num_threads
     parser.decode_scan(num_threads);
   }
   obs::Span span(obs::Stage::kDecodePixels);
-  return parser.reconstruct();
+  return parser.reconstruct(num_threads);
 }
 
 image::Image decode(ByteSpan bytes) {

@@ -36,8 +36,11 @@ struct JpegInfo {
 /// buffers pass {ptr, size} without a copy.
 ///
 /// Streams with restart intervals decode their independent restart segments
-/// on runtime::parallel_for; `num_threads` follows the usual knob semantics
-/// (0 = DNJ_THREADS / hardware concurrency, 1 = serial). Output is
+/// on runtime::parallel_for, and the pixel stages (dequantize + IDCT +
+/// untile, then upsample + colour convert) of a frame large enough for two
+/// bands of pipeline::kMinBandBlocks blocks run band by band on it too.
+/// `num_threads` follows the usual knob semantics (0 = DNJ_THREADS /
+/// hardware concurrency, 1 = serial), exactly like encode's. Output is
 /// bit-identical at every thread count.
 image::Image decode(ByteSpan bytes);
 image::Image decode(ByteSpan bytes, pipeline::CodecContext& ctx, int num_threads = 0);

@@ -13,6 +13,7 @@
 #include "jpeg/dct.hpp"
 #include "jpeg/huffman.hpp"
 #include "jpeg/markers.hpp"
+#include "jpeg/pipeline/bands.hpp"
 #include "jpeg/zigzag.hpp"
 #include "obs/trace.hpp"
 
@@ -166,48 +167,6 @@ void validate_config(PixelView img, const EncoderConfig& config) {
     throw std::invalid_argument("encode: bad restart interval");
 }
 
-// Runs the batched in-place DCT over the already-tiled CoeffPlane of
-// component `ci` and emits the zig-zag int16 coefficients into the
-// QuantPlane arena. No allocation once the arenas are warm, and no
-// per-block copies at any point.
-Component finish_pipeline_component(CodecContext& ctx, int ci, int id, int h, int v,
-                                    int tq, const QuantTable& table) {
-  pipeline::CoeffPlane& coeff = ctx.coeff[static_cast<std::size_t>(ci)];
-  pipeline::QuantPlane& quant = ctx.quant[static_cast<std::size_t>(ci)];
-  {
-    obs::Span span(obs::Stage::kEncodeDct, coeff.block_count());
-    fdct_batch(coeff.data(), coeff.block_count());
-  }
-  quant.reshape(coeff.blocks_x(), coeff.blocks_y());
-  {
-    obs::Span span(obs::Stage::kEncodeQuant, coeff.block_count());
-    quantize_zigzag_batch(coeff.data(), coeff.block_count(),
-                          ctx.reciprocal_for(table, tq), quant.data());
-  }
-  Component comp;
-  comp.id = id;
-  comp.h = h;
-  comp.v = v;
-  comp.tq = tq;
-  comp.blocks_x = coeff.blocks_x();
-  comp.blocks_y = coeff.blocks_y();
-  comp.zz = quant.data();
-  return comp;
-}
-
-// Tiles `plane` into the component's CoeffPlane arena (level shift fused)
-// and finishes it.
-Component make_pipeline_component(CodecContext& ctx, int ci, const PlaneF& plane, int id,
-                                  int h, int v, int tq, int grid_bx, int grid_by,
-                                  const QuantTable& table) {
-  {
-    obs::Span span(obs::Stage::kEncodeTile,
-                   static_cast<std::uint64_t>(grid_bx) * grid_by);
-    ctx.coeff[static_cast<std::size_t>(ci)].tile_from(plane, grid_bx, grid_by, -128.0f);
-  }
-  return finish_pipeline_component(ctx, ci, id, h, v, tq, table);
-}
-
 }  // namespace
 
 std::pair<QuantTable, QuantTable> effective_tables(const EncoderConfig& config) {
@@ -259,7 +218,7 @@ void append_config_bytes(const EncoderConfig& config, std::vector<std::uint8_t>&
 }
 
 std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
-                                 pipeline::CodecContext& ctx) {
+                                 pipeline::CodecContext& ctx, int num_threads) {
   validate_config(img, config);
 
   // Same resolution rule as effective_tables, but quality-scaled tables
@@ -279,46 +238,101 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   const bool color = img.channels == 3;
   const bool sub420 = color && config.subsampling == Subsampling::k420;
 
-  // Component planes, tiled + transformed + quantized into the context
-  // arenas. Grayscale skips the chroma planes entirely.
+  // Frame layout. Grayscale has one component; colour has Y, Cb, Cr with
+  // luma at 2x2 sampling under 4:2:0. Every component is tiled,
+  // transformed and quantized into its context arenas.
+  const std::size_t n_comps = color ? 3 : 1;
+  const int mcu_dim = (sub420 ? 2 : 1) * kBlockDim;
+  const int mcus_x = ceil_div(img.width, mcu_dim);
+  const int mcus_y = ceil_div(img.height, mcu_dim);
   std::array<Component, kMaxComponents> comps{};
-  std::size_t n_comps = 0;
-  int mcus_x = 0, mcus_y = 0;
-  if (!color) {
-    // Grayscale tiles straight from the 8-bit pixels — no intermediate
-    // float plane at all.
-    mcus_x = ceil_div(img.width, kBlockDim);
-    mcus_y = ceil_div(img.height, kBlockDim);
-    ctx.coeff[0].reshape(mcus_x, mcus_y);
-    {
-      obs::Span span(obs::Stage::kEncodeTile,
-                     static_cast<std::uint64_t>(mcus_x) * mcus_y);
-      image::tile_image_blocks_into(img, 0, mcus_x, mcus_y, ctx.coeff[0].data(),
-                                    -128.0f);
+  std::size_t total_blocks = 0;
+  std::size_t blocks_per_mcu_row = 0;
+  for (std::size_t ci = 0; ci < n_comps; ++ci) {
+    Component& c = comps[ci];
+    c.id = static_cast<int>(ci) + 1;
+    c.h = c.v = (sub420 && ci == 0) ? 2 : 1;
+    c.tq = ci == 0 ? 0 : 1;
+    c.blocks_x = mcus_x * c.h;
+    c.blocks_y = mcus_y * c.v;
+    ctx.coeff[ci].reshape(c.blocks_x, c.blocks_y);
+    ctx.quant[ci].reshape(c.blocks_x, c.blocks_y);
+    c.zz = ctx.quant[ci].data();
+    total_blocks += ctx.coeff[ci].block_count();
+    blocks_per_mcu_row += static_cast<std::size_t>(c.blocks_x) * c.v;
+  }
+  const ReciprocalTable* recip[2] = {&ctx.reciprocal_for(luma_q, 0),
+                                     color ? &ctx.reciprocal_for(chroma_q, 1) : nullptr};
+
+  // The pixel stages run band by band (see pipeline/bands.hpp). MCU rows
+  // [r0, r1) cover block rows [r0 * v, r1 * v) of each component; every
+  // stage reads and writes only its own band, so the bytes never depend
+  // on the thread count.
+  const pipeline::BandPlan plan(blocks_per_mcu_row, mcus_y);
+  const auto band_blocks = [&](std::size_t ci, const pipeline::Band& band) {
+    const Component& c = comps[ci];
+    const std::size_t first = static_cast<std::size_t>(band.first_row) * c.v * c.blocks_x;
+    const std::size_t end = static_cast<std::size_t>(band.end_row) * c.v * c.blocks_x;
+    return std::pair<std::size_t, std::size_t>(first, end - first);
+  };
+
+  {
+    // Colour convert, 4:2:0 downsample and tile (level shift fused). A
+    // band's MCU rows cover exactly the pixel rows, downsampled rows and
+    // edge-replicated rows its blocks read, so the three steps share one
+    // parallel region. Grayscale tiles straight from the 8-bit pixels —
+    // no intermediate float plane at all.
+    obs::Span span(obs::Stage::kEncodeTile, total_blocks);
+    if (color) {
+      ctx.ycc.y.reset(img.width, img.height);
+      ctx.ycc.cb.reset(img.width, img.height);
+      ctx.ycc.cr.reset(img.width, img.height);
+      if (sub420)
+        for (PlaneF& p : ctx.chroma_small) p.reset((img.width + 1) / 2, (img.height + 1) / 2);
     }
-    comps[n_comps++] = finish_pipeline_component(ctx, 0, 1, 1, 1, 0, luma_q);
-  } else if (!sub420) {
-    image::to_ycbcr_into(img, ctx.ycc);
-    mcus_x = ceil_div(img.width, kBlockDim);
-    mcus_y = ceil_div(img.height, kBlockDim);
-    comps[n_comps++] =
-        make_pipeline_component(ctx, 0, ctx.ycc.y, 1, 1, 1, 0, mcus_x, mcus_y, luma_q);
-    comps[n_comps++] =
-        make_pipeline_component(ctx, 1, ctx.ycc.cb, 2, 1, 1, 1, mcus_x, mcus_y, chroma_q);
-    comps[n_comps++] =
-        make_pipeline_component(ctx, 2, ctx.ycc.cr, 3, 1, 1, 1, mcus_x, mcus_y, chroma_q);
-  } else {
-    image::to_ycbcr_into(img, ctx.ycc);
-    mcus_x = ceil_div(img.width, 2 * kBlockDim);
-    mcus_y = ceil_div(img.height, 2 * kBlockDim);
-    image::downsample_2x2_into(ctx.ycc.cb, ctx.chroma_small[0]);
-    image::downsample_2x2_into(ctx.ycc.cr, ctx.chroma_small[1]);
-    comps[n_comps++] = make_pipeline_component(ctx, 0, ctx.ycc.y, 1, 2, 2, 0, 2 * mcus_x,
-                                               2 * mcus_y, luma_q);
-    comps[n_comps++] = make_pipeline_component(ctx, 1, ctx.chroma_small[0], 2, 1, 1, 1,
-                                               mcus_x, mcus_y, chroma_q);
-    comps[n_comps++] = make_pipeline_component(ctx, 2, ctx.chroma_small[1], 3, 1, 1, 1,
-                                               mcus_x, mcus_y, chroma_q);
+    const PlaneF* planes[kMaxComponents] = {
+        &ctx.ycc.y, sub420 ? &ctx.chroma_small[0] : &ctx.ycc.cb,
+        sub420 ? &ctx.chroma_small[1] : &ctx.ycc.cr};
+    plan.run(num_threads, [&](const pipeline::Band& band) {
+      if (!color) {
+        image::tile_image_block_rows_into(img, 0, comps[0].blocks_x, band.first_row,
+                                          band.end_row, ctx.coeff[0].data(), -128.0f);
+        return;
+      }
+      image::to_ycbcr_rows(img, ctx.ycc, band.first_row * mcu_dim,
+                           std::min(img.height, band.end_row * mcu_dim));
+      if (sub420) {
+        const int small_h = ctx.chroma_small[0].height();
+        const int y0 = band.first_row * kBlockDim;
+        const int y1 = std::min(small_h, band.end_row * kBlockDim);
+        image::downsample_2x2_rows(ctx.ycc.cb, ctx.chroma_small[0], y0, y1);
+        image::downsample_2x2_rows(ctx.ycc.cr, ctx.chroma_small[1], y0, y1);
+      }
+      for (std::size_t ci = 0; ci < n_comps; ++ci) {
+        const Component& c = comps[ci];
+        image::tile_block_rows_into(*planes[ci], c.blocks_x, band.first_row * c.v,
+                                    band.end_row * c.v, ctx.coeff[ci].data(), -128.0f);
+      }
+    });
+  }
+  {
+    obs::Span span(obs::Stage::kEncodeDct, total_blocks);
+    plan.run(num_threads, [&](const pipeline::Band& band) {
+      for (std::size_t ci = 0; ci < n_comps; ++ci) {
+        const auto [first, count] = band_blocks(ci, band);
+        fdct_batch(ctx.coeff[ci].block(first), count);
+      }
+    });
+  }
+  {
+    obs::Span span(obs::Stage::kEncodeQuant, total_blocks);
+    plan.run(num_threads, [&](const pipeline::Band& band) {
+      for (std::size_t ci = 0; ci < n_comps; ++ci) {
+        const auto [first, count] = band_blocks(ci, band);
+        quantize_zigzag_batch(ctx.coeff[ci].block(first), count, *recip[comps[ci].tq],
+                              ctx.quant[ci].block(first));
+      }
+    });
   }
 
   const auto zz_block = [&](std::size_t ci, int gx, int gy) {
@@ -375,9 +389,6 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   // (~3 bits/pixel = 24 bytes/block); denser streams grow once or twice,
   // and the returned capacity stays close to the payload for callers that
   // keep many streams resident.
-  std::size_t total_blocks = 0;
-  for (std::size_t ci = 0; ci < n_comps; ++ci)
-    total_blocks += static_cast<std::size_t>(comps[ci].blocks_x) * comps[ci].blocks_y;
   std::vector<std::uint8_t> out;
   out.reserve(1024 + config.comment.size() + total_blocks * 24);
   out.push_back(0xFF);
@@ -425,8 +436,8 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
 }
 
 std::vector<std::uint8_t> encode(const image::Image& img, const EncoderConfig& config,
-                                 pipeline::CodecContext& ctx) {
-  return encode(img.view(), config, ctx);
+                                 pipeline::CodecContext& ctx, int num_threads) {
+  return encode(img.view(), config, ctx, num_threads);
 }
 
 std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config) {

@@ -21,7 +21,11 @@
 // Contexts are cheap to create but meant to be reused. They are NOT
 // thread-safe; give each worker its own — `thread_codec_context()` hands
 // out one per thread, which is how core/transcode and core/sa_optimizer
-// get "one arena per worker" through the runtime parallel helpers. Results
+// get "one arena per worker" through the runtime parallel helpers. One
+// encode or decode call may itself fan its own arenas out over pool
+// threads: it sizes every arena on the calling thread, then each band
+// (pipeline/bands.hpp) writes a disjoint range of them. That is internal
+// to the call; two concurrent calls still need two contexts. Results
 // never depend on context state, so the bit-identical-at-any-thread-count
 // guarantee is preserved.
 #pragma once
@@ -96,9 +100,9 @@ class CodecContext {
 
   // --- decode-side arenas -------------------------------------------------
   std::array<QuantPlane, kMaxComponents> decode_coeffs;  ///< natural-order int16
-  CoeffPlane decode_fp;                                  ///< dequantized floats
+  std::array<CoeffPlane, kMaxComponents> decode_fp;      ///< dequantized floats
   std::array<image::PlaneF, kMaxComponents> decode_planes;  ///< native resolution
-  std::vector<float> decode_rows;  ///< 4:2:0 upsample row buffers (3 per chroma plane)
+  std::vector<float> decode_rows;  ///< upsample row buffers, 6 rows per band
 
  private:
   std::optional<StaticHuffman> static_huffman_;

@@ -18,6 +18,16 @@
 // The calling thread always participates in chunk execution, so these
 // helpers never deadlock when invoked from inside a pool worker and never
 // enqueue helpers that outlive the call's own stack frame unprotected.
+//
+// Nesting: a parallel_for called from inside another parallel_for's body
+// runs serially, inline on the thread executing the outer chunk, and puts
+// nothing on the pool. The outer loop already keeps the pool busy, so
+// inner helpers would only queue behind it as no-ops. Chunk boundaries
+// never depend on the thread count, so an inner loop's results are the
+// same either way. The rule keys on a thread-local depth that
+// detail::drain_chunks raises while it runs a body; an outer loop that
+// itself ran serially (one thread or one chunk) raises nothing, so loops
+// inside it still fan out.
 #pragma once
 
 #include <atomic>
@@ -41,6 +51,9 @@ inline unsigned resolve_threads(int num_threads) {
 }
 
 namespace detail {
+
+/// Number of parallel_for bodies this thread is executing right now.
+inline thread_local int region_depth = 0;
 
 struct LoopState {
   std::size_t begin = 0;
@@ -69,6 +82,7 @@ void drain_chunks(const std::shared_ptr<LoopState>& st, const Body* body) {
     if (!st->failed.load(std::memory_order_relaxed)) {
       const std::size_t lo = st->begin + c * st->grain;
       const std::size_t hi = std::min(st->end, lo + st->grain);
+      ++region_depth;
       try {
         for (std::size_t i = lo; i < hi; ++i) (*body)(i);
       } catch (...) {
@@ -76,6 +90,7 @@ void drain_chunks(const std::shared_ptr<LoopState>& st, const Body* body) {
         if (!st->error) st->error = std::current_exception();
         st->failed.store(true, std::memory_order_relaxed);
       }
+      --region_depth;
     }
     if (st->done.fetch_add(1, std::memory_order_acq_rel) + 1 == st->chunks) {
       std::lock_guard<std::mutex> lock(st->mutex);
@@ -96,7 +111,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, const B
   ThreadPool& pool = ThreadPool::global();
   const unsigned threads = std::min<unsigned>(resolve_threads(num_threads),
                                               pool.worker_count() + 1);
-  if (threads <= 1 || chunks <= 1) {
+  if (threads <= 1 || chunks <= 1 || detail::region_depth > 0) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <mutex>
 #include <numeric>
@@ -167,6 +168,39 @@ TEST(ParallelFor, NestedLoopsDoNotDeadlock) {
     parallel_for(0, 8, 1, [&](std::size_t) { calls.fetch_add(1); });
   });
   EXPECT_EQ(calls.load(), 64);
+}
+
+TEST(ParallelFor, NestedLoopRunsInlineOnTheOuterChunksThread) {
+  // Two outer chunks leave pool workers idle, so an inner loop that fanned
+  // out would have its slow chunks picked up by them.
+  constexpr std::size_t kOuter = 2, kInner = 32;
+  const auto run = [&](int threads) {
+    std::vector<std::size_t> out(kOuter * kInner, 0);
+    std::atomic<int> off_thread{0};
+    parallel_for(
+        0, kOuter, 1,
+        [&](std::size_t o) {
+          const std::thread::id outer = std::this_thread::get_id();
+          parallel_for(
+              0, kInner, 1,
+              [&](std::size_t i) {
+                if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                out[o * kInner + i] = (o * 1000003u) ^ (i * 7919u);
+              },
+              threads);
+        },
+        threads);
+    EXPECT_EQ(off_thread.load(), 0) << "threads=" << threads;
+    EXPECT_EQ(detail::region_depth, 0) << "threads=" << threads;
+    return out;
+  };
+  EXPECT_EQ(run(1), run(4));
+  // The depth unwinds when an outer body throws, too.
+  EXPECT_THROW(parallel_for(
+                   0, 8, 1, [](std::size_t) { throw std::runtime_error("outer"); }, 4),
+               std::runtime_error);
+  EXPECT_EQ(detail::region_depth, 0);
 }
 
 TEST(MpmcQueue, FifoSingleThread) {

@@ -361,6 +361,7 @@ TEST(SimdKernels, StuffBytesMatchesReferenceOnFfPatterns) {
   for (std::size_t ci = 0; ci < inputs.size(); ++ci) {
     const std::vector<std::uint8_t>& in = inputs[ci];
     std::vector<std::uint8_t> expect;
+    expect.reserve(2 * in.size() + 1);  // non-null data() even for the empty input
     for (const std::uint8_t b : in) {
       expect.push_back(b);
       if (b == 0xFF) expect.push_back(0x00);
