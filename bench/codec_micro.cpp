@@ -16,6 +16,8 @@
 #include "jpeg/codec.hpp"
 #include "jpeg/dct.hpp"
 #include "jpeg/decoder.hpp"
+#include "jpeg/huffman.hpp"
+#include "jpeg/pipeline/codec_context.hpp"
 #include "jpeg/quant.hpp"
 #include "runtime/parallel.hpp"
 #include "simd/dispatch.hpp"
@@ -118,6 +120,46 @@ void BM_Decode(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(jpeg::decode(bytes));
 }
 BENCHMARK(BM_Decode)->Arg(32)->Arg(128);
+
+// The serial entropy stage alone: single-thread decode_coefficients (header
+// parse plus Huffman decode of every block, no pixel stages) of q90 4:2:0
+// streams, 224x224 or 1920x1080, one per synthetic class (the mix the
+// offline_1080p benchmark pool is drawn from), at Huffman lookup width
+// `lut_bits` — 0 is the bit-by-bit reference walk, 8 the former default,
+// and the third row the current default. Mblk/s counts 8x8 blocks (all
+// components) per second.
+void BM_HuffmanDecode(benchmark::State& state) {
+  const bool hd = state.range(0) == 1080;
+  data::GeneratorConfig g;
+  g.width = hd ? 1920 : 224;
+  g.height = hd ? 1080 : 224;
+  g.channels = 3;
+  g.seed = 7;
+  const data::Dataset ds = data::SyntheticDatasetGenerator(g).generate(1);
+  jpeg::EncoderConfig cfg;
+  cfg.quality = 90;
+  cfg.subsampling = jpeg::Subsampling::k420;
+  std::vector<std::vector<std::uint8_t>> streams;
+  double bytes = 0;
+  for (const data::Sample& s : ds.samples) {
+    streams.push_back(jpeg::encode(s.image, cfg));
+    bytes += static_cast<double>(streams.back().size());
+  }
+  const int saved = jpeg::entropy_lut_bits();
+  jpeg::set_entropy_lut_bits(static_cast<int>(state.range(1)));
+  jpeg::pipeline::CodecContext ctx;  // decoder tables built at this width
+  for (auto _ : state)
+    for (const auto& s : streams) benchmark::DoNotOptimize(jpeg::decode_coefficients(s, ctx, 1));
+  jpeg::set_entropy_lut_bits(saved);
+  const double blocks = ((g.width + 15) / 16) * ((g.height + 15) / 16) * 6.0 *
+                        static_cast<double>(streams.size());
+  state.counters["Mblk/s"] = benchmark::Counter(
+      blocks * static_cast<double>(state.iterations()) / 1e6, benchmark::Counter::kIsRate);
+  state.counters["bytes/image"] = bytes / static_cast<double>(streams.size());
+}
+BENCHMARK(BM_HuffmanDecode)
+    ->ArgNames({"size", "lut_bits"})
+    ->ArgsProduct({{224, 1080}, {0, 8, jpeg::entropy_lut_bits()}});
 
 void BM_EncodeOptimizedHuffman(benchmark::State& state) {
   const image::Image img = test_image(128, 1);

@@ -42,22 +42,27 @@ void BitWriter::put_marker(std::uint8_t code) {
   out_.push_back(code);
 }
 
-int BitReader::next_data_byte() {
-  while (pos_ < size_) {
-    const std::uint8_t b = data_[pos_];
+namespace {
+
+// Next unstuffed data byte at `p`, advancing `p` past it (and past any
+// 0xFF fill bytes in front of it); -1 at a marker or the end of data, with
+// `p` left in front of the marker.
+int next_data_byte(const std::uint8_t*& p, const std::uint8_t* end) {
+  while (p < end) {
+    const std::uint8_t b = *p;
     if (b != 0xFF) {
-      ++pos_;
+      ++p;
       return b;
     }
     // 0xFF: look at the next byte.
-    if (pos_ + 1 >= size_) return -1;
-    const std::uint8_t next = data_[pos_ + 1];
+    if (end - p < 2) return -1;
+    const std::uint8_t next = p[1];
     if (next == 0x00) {  // stuffed data byte
-      pos_ += 2;
+      p += 2;
       return 0xFF;
     }
     if (next == 0xFF) {  // fill byte, skip one 0xFF and retry
-      ++pos_;
+      ++p;
       continue;
     }
     return -1;  // real marker: stop bit delivery
@@ -65,40 +70,36 @@ int BitReader::next_data_byte() {
   return -1;
 }
 
-void BitReader::refill(int need) {
-  while (bit_count_ < need) {
-    // Fast gulp: a 4-byte word containing no 0xFF can hold neither a
-    // stuffed byte nor a marker, so all four bytes are data and load in
-    // one shot. Words with any 0xFF fall to the per-byte unstuffing loop.
-    if (bit_count_ <= 32 && pos_ + 4 <= size_) {
-      const std::uint32_t word = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                                 (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                                 (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                                 static_cast<std::uint32_t>(data_[pos_ + 3]);
-      const std::uint32_t inv = ~word;
-      if (((inv - 0x01010101u) & ~inv & 0x80808080u) == 0) {
-        acc_ = (acc_ << 32) | word;
-        bit_count_ += 32;
-        pos_ += 4;
-        continue;
-      }
-    }
-    const int b = next_data_byte();
-    if (b < 0) return;
-    acc_ = (acc_ << 8) | static_cast<std::uint64_t>(b);
-    bit_count_ += 8;
+}  // namespace
+
+BitReader::ReadCursor::Fill BitReader::ReadCursor::refill_bytes(const std::uint8_t* p,
+                                                                const std::uint8_t* end,
+                                                                std::uint64_t window,
+                                                                int bits) {
+  // Any overlap bits a fast refill left below `bits` are the unstuffed
+  // values of exactly these bytes, so OR-ing them in again is a no-op.
+  while (bits <= 56) {
+    const int b = next_data_byte(p, end);
+    if (b < 0) break;
+    window |= static_cast<std::uint64_t>(b) << (56 - bits);
+    bits += 8;
   }
+  return {p, window, bits};
 }
 
 std::int32_t BitReader::get_bits(int count) {
   if (count == 0) return 0;
-  if (bit_count_ < count) {
-    refill(count);
-    if (bit_count_ < count) {
-      hit_marker_ = true;
+  const std::uint8_t* p = data_ + pos_;
+  while (bit_count_ < count) {
+    const int b = next_data_byte(p, data_ + size_);
+    if (b < 0) {
+      pos_ = static_cast<std::size_t>(p - data_);
       return -1;
     }
+    acc_ = (acc_ << 8) | static_cast<std::uint64_t>(b);
+    bit_count_ += 8;
   }
+  pos_ = static_cast<std::size_t>(p - data_);
   bit_count_ -= count;
   return static_cast<std::int32_t>((acc_ >> bit_count_) & ((1ull << count) - 1ull));
 }
@@ -122,7 +123,6 @@ std::uint8_t BitReader::take_marker() {
   pos_ += 2;
   acc_ = 0;
   bit_count_ = 0;
-  hit_marker_ = false;
   return code;
 }
 

@@ -171,37 +171,119 @@ class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
-  /// Reads `count` bits MSB-first, count in [0, 32]. Returns -1 if the scan
-  /// data is exhausted or a marker is hit (callers treat that as a
-  /// corrupt-stream error except for expected RST/EOI handling).
+  /// Reads `count` bits MSB-first, count in [0, 31] (a 32-bit value could
+  /// not be told from the failure value). Returns -1 if the scan data is
+  /// exhausted or a marker is hit (callers treat that as a corrupt-stream
+  /// error except for expected RST/EOI handling).
   std::int32_t get_bits(int count);
 
   /// Reads a single bit; -1 on marker/end.
   std::int32_t get_bit();
 
-  /// Tops up the accumulator to at least `count` buffered bits where the
-  /// stream allows (count in [1, 32]); returns the number of bits now
-  /// buffered (may be less near a marker or the end of data). Pure
-  /// lookahead for the table-driven Huffman fast path: never consumes bits
-  /// and never latches the marker/end state.
-  int ensure(int count) {
-    if (bit_count_ < count) refill(count);
-    return bit_count_;
-  }
+  /// Register-resident read window over a run of entropy-coded blocks, the
+  /// read-side twin of BitWriter::BlockCursor. The buffered bits sit
+  /// left-aligned in a 64-bit window held (with the read pointer) in the
+  /// cursor, so a decode loop that keeps the cursor local keeps them in
+  /// registers. commit() writes the state back; the owning BitReader must
+  /// not be read between construction (or reload()) and commit().
+  ///
+  /// Bits below the buffered ones may hold a copy of the stream's next
+  /// data bytes (the fast refill overlaps its loads). They are never
+  /// delivered: every consumer checks its length against bits(), and
+  /// commit() drops them.
+  class ReadCursor {
+   public:
+    explicit ReadCursor(BitReader& r) : r_(r) { reload(); }
 
-  /// The next `count` buffered bits without consuming them, zero-padded on
-  /// the right when fewer than `count` bits are buffered. count in [1, 32].
-  std::uint32_t peek(int count) const {
-    if (bit_count_ >= count)
-      return static_cast<std::uint32_t>((acc_ >> (bit_count_ - count)) &
-                                        ((1ull << count) - 1ull));
-    return static_cast<std::uint32_t>((acc_ & ((1ull << bit_count_) - 1ull))
-                                      << (count - bit_count_));
-  }
+    /// Tops the window up to at least 56 buffered bits where the stream
+    /// allows. Fast path: one unaligned big-endian 8-byte load, OR-merged
+    /// below the buffered bits, whenever those 8 bytes hold no 0xFF (so no
+    /// stuffed byte and no marker). Otherwise a byte-wise unstuffing walk
+    /// that stops in front of a marker or the end of data without
+    /// consuming it (nothing latches: the next refill looks again). Never
+    /// consumes bits. Precondition: bits() < 64.
+    void refill() {
+      if (end_ - p_ >= 8) {
+        const std::uint64_t w = load_be64(p_);
+        const std::uint64_t inv = ~w;  // a 0xFF byte of w is a zero byte of inv
+        if (((inv - 0x0101010101010101ull) & w & 0x8080808080808080ull) == 0) {
+          window_ |= w >> bits_;
+          p_ += (63 - bits_) >> 3;  // whole bytes that fit: bits_ -> 56..63
+          bits_ |= 56;
+          return;
+        }
+      }
+      const Fill f = refill_bytes(p_, end_, window_, bits_);
+      p_ = f.p;
+      window_ = f.window;
+      bits_ = f.bits;
+    }
 
-  /// Consumes `count` bits previously observed via ensure()/peek().
-  /// Precondition: count <= the buffered count ensure() returned.
-  void consume(int count) { bit_count_ -= count; }
+    /// The buffered bits, left-aligned at bit 63 (see the class comment
+    /// for what lies below bits()).
+    std::uint64_t window() const { return window_; }
+    /// Number of buffered bits, in [0, 64].
+    int bits() const { return bits_; }
+    /// Consumes `n` bits, n in [0, bits()] and n < 64.
+    void skip(int n) {
+      window_ <<= n;
+      bits_ -= n;
+    }
+    /// Consumes and returns the next `n` bits, n in [1, 32] and n <= bits().
+    std::uint32_t take(int n) {
+      const auto v = static_cast<std::uint32_t>(window_ >> (64 - n));
+      skip(n);
+      return v;
+    }
+
+    /// Writes the window back: position() and buffered_bits() of the
+    /// reader are then exact (the restart over-run check relies on them).
+    void commit() {
+      r_.acc_ = bits_ != 0 ? window_ >> (64 - bits_) : 0;
+      r_.bit_count_ = bits_;
+      r_.pos_ = static_cast<std::size_t>(p_ - r_.data_);
+    }
+
+    /// Re-reads the reader's state after direct use between commit() and
+    /// here (the bit-by-bit reference fallback).
+    void reload() {
+      p_ = r_.data_ + r_.pos_;
+      end_ = r_.data_ + r_.size_;
+      bits_ = r_.bit_count_;
+      window_ = bits_ != 0 ? r_.acc_ << (64 - bits_) : 0;
+    }
+
+    BitReader& reader() { return r_; }
+
+   private:
+    struct Fill {
+      const std::uint8_t* p;
+      std::uint64_t window;
+      int bits;
+    };
+    // Out of line and by value, so no cursor member ever has its address
+    // taken and the whole cursor stays in registers.
+    static Fill refill_bytes(const std::uint8_t* p, const std::uint8_t* end,
+                             std::uint64_t window, int bits);
+
+    static std::uint64_t load_be64(const std::uint8_t* p) {
+      std::uint64_t w;
+#if defined(__GNUC__) || defined(__clang__)
+      __builtin_memcpy(&w, p, 8);
+      return __builtin_bswap64(w);
+#else
+      w = 0;
+      for (int i = 0; i < 8; ++i) w = (w << 8) | p[i];
+      return w;
+#endif
+    }
+
+    BitReader& r_;
+    const std::uint8_t* p_;
+    const std::uint8_t* end_;
+    std::uint64_t window_;
+    int bits_;
+  };
 
   /// True when positioned at a marker (0xFF followed by a non-stuffing,
   /// non-fill byte). Like the other marker helpers this inspects the byte
@@ -217,23 +299,20 @@ class BitReader {
   /// Consumes a marker (two bytes) and resets bit state. Returns the code.
   std::uint8_t take_marker();
 
-  /// Byte offset of the next unread byte. With read-ahead this can run up
-  /// to eight buffered (unconsumed) bits past the logical bit position.
+  /// Byte offset of the next unread byte. With read-ahead (a committed
+  /// ReadCursor) this can run up to 64 buffered, unconsumed bits past the
+  /// logical bit position.
   std::size_t position() const { return pos_; }
 
   /// Bits buffered but not yet consumed.
   int buffered_bits() const { return bit_count_; }
 
  private:
-  int next_data_byte();
-  void refill(int need);
-
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
-  std::uint64_t acc_ = 0;
+  std::uint64_t acc_ = 0;  // low bit_count_ bits are buffered
   int bit_count_ = 0;
-  bool hit_marker_ = false;
 };
 
 }  // namespace dnj::jpeg

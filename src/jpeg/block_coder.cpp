@@ -24,8 +24,10 @@ int lowest_set_bit(std::uint64_t m) {
 #endif
 }
 
-// Value extension for decoding (T.81 F.2.2.1 EXTEND): a `size`-bit raw value
-// whose MSB is 0 encodes a negative coefficient.
+// Value extension for the reference decode (T.81 F.2.2.1 EXTEND), written
+// as the standard states it and kept apart from the branchless
+// extend_magnitude of the cursor path, so the width-0 oracle does not share
+// that code with what it checks.
 int extend(int v, int size) {
   if (size == 0) return 0;
   if (v < (1 << (size - 1))) return v - (1 << size) + 1;
@@ -187,8 +189,15 @@ bool decode_block(BitReader& br, QuantizedBlock& block, int& dc_pred,
 
 bool decode_block(BitReader& br, std::int16_t* block, int& dc_pred,
                   const HuffmanDecoder& dc_table, const HuffmanDecoder& ac_table) {
+  if (dc_table.lut_bits() > 0 && ac_table.lut_bits() > 0) {
+    BitReader::ReadCursor cur(br);
+    const bool ok = decode_block(cur, block, dc_pred, dc_table, ac_table);
+    cur.commit();
+    return ok;
+  }
+  // Width 0: the bit-by-bit reference every lookup width must match.
   std::fill(block, block + 64, static_cast<std::int16_t>(0));
-  const int dc_cat = dc_table.decode_fast(br);
+  const int dc_cat = dc_table.decode(br);
   if (dc_cat < 0 || dc_cat > 15) return false;
   int diff = 0;
   if (dc_cat > 0) {
@@ -201,7 +210,7 @@ bool decode_block(BitReader& br, std::int16_t* block, int& dc_pred,
 
   int k = 1;
   while (k < 64) {
-    const int sym = ac_table.decode_fast(br);
+    const int sym = ac_table.decode(br);
     if (sym < 0) return false;
     if (sym == 0x00) break;  // EOB
     const int run = sym >> 4;

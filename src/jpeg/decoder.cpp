@@ -38,6 +38,8 @@ struct FrameComponent {
   int ac_table = 0;
   int blocks_x = 0, blocks_y = 0;  // padded grid within the MCU lattice
   std::int16_t* coeffs = nullptr;  // natural-order blocks in the context arena
+  const HuffmanDecoder* dc = nullptr;  // built at SOS from the referenced specs
+  const HuffmanDecoder* ac = nullptr;
 };
 
 class Parser {
@@ -47,10 +49,11 @@ class Parser {
 
   JpegInfo info;
   std::vector<FrameComponent> comps;
-  // Decoder tables live in the context cache; a warm context decoding a
-  // same-table stream skips the per-image table derivation and LUT fill.
-  const HuffmanDecoder* dc_tables[4] = {};
-  const HuffmanDecoder* ac_tables[4] = {};
+  // The last DHT definition per slot, validated when read. Decoder tables
+  // are built from them at SOS, for the slots the scan references only,
+  // and live in the context cache: a warm context decoding a same-table
+  // stream skips the per-image table derivation and lookup-table fill.
+  std::optional<HuffmanSpec> dc_specs[4], ac_specs[4];
   int mcus_x = 0, mcus_y = 0;
   std::size_t scan_start = 0;  // offset of entropy-coded data
 
@@ -95,16 +98,31 @@ class Parser {
   }
 
   void decode_scan(int num_threads) {
+    // Every block costs at least two bits (a DC code and an AC code of one
+    // bit or more), so a scan too short for the frame cannot decode. Fail
+    // before sizing the arenas: a corrupt frame header must not be able to
+    // ask for gigabytes.
+    std::size_t blocks = 0;
+    for (const FrameComponent& c : comps)
+      blocks += static_cast<std::size_t>(c.blocks_x) * static_cast<std::size_t>(c.blocks_y);
+    if (blocks > 4 * (size_ - scan_start)) fail("corrupt entropy-coded data");
     // Size the per-component coefficient arenas now (parse_info never gets
     // here, so header-only parses leave the context untouched). No
     // zero-fill needed: the MCU walk visits every grid block exactly once
     // and decode_block clears each block before writing it.
     for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+      FrameComponent& c = comps[ci];
       pipeline::QuantPlane& plane = ctx_.decode_coeffs[ci];
-      plane.reshape(comps[ci].blocks_x, comps[ci].blocks_y);
-      comps[ci].coeffs = plane.data();
-      if (!dc_tables[comps[ci].dc_table] || !ac_tables[comps[ci].ac_table])
+      plane.reshape(c.blocks_x, c.blocks_y);
+      c.coeffs = plane.data();
+      if (!dc_specs[c.dc_table] || !ac_specs[c.ac_table])
         fail("scan references undefined Huffman table");
+    }
+    // Up to six lookups, all into the context's sixteen-slot cache, so no
+    // lookup evicts a table an earlier component still points at.
+    for (FrameComponent& c : comps) {
+      c.dc = &ctx_.decoder_for(*dc_specs[c.dc_table]);
+      c.ac = &ctx_.decoder_for(*ac_specs[c.ac_table]);
     }
     const int total_mcus = mcus_x * mcus_y;
     if (info.restart_interval > 0 && total_mcus > info.restart_interval) {
@@ -118,7 +136,29 @@ class Parser {
 
   /// Decodes MCUs [m0, m1) from `br`, DC predictors starting at zero —
   /// exactly the state at the start of a scan or after a restart marker.
+  /// One ReadCursor serves the whole range; at lookup width 0 every block
+  /// takes the bit-by-bit reference decode instead.
   void decode_mcu_range(BitReader& br, int m0, int m1) {
+    bool reference = false;
+    for (const FrameComponent& c : comps)
+      reference = reference || c.dc->lut_bits() == 0 || c.ac->lut_bits() == 0;
+    if (reference) {
+      for_each_block(m0, m1, [&](const FrameComponent& c, std::int16_t* blk, int& dc_pred) {
+        return decode_block(br, blk, dc_pred, *c.dc, *c.ac);
+      });
+      return;
+    }
+    BitReader::ReadCursor cur(br);
+    for_each_block(m0, m1, [&](const FrameComponent& c, std::int16_t* blk, int& dc_pred) {
+      return decode_block(cur, blk, dc_pred, *c.dc, *c.ac);
+    });
+    cur.commit();
+  }
+
+  /// Calls `decode(component, block, dc_pred)` for every block of MCUs
+  /// [m0, m1) in scan order; fails the decode when it returns false.
+  template <class DecodeBlock>
+  void for_each_block(int m0, int m1, DecodeBlock&& decode) {
     std::array<int, pipeline::kMaxComponents> dc_pred{};
     for (int mcu_index = m0; mcu_index < m1; ++mcu_index) {
       const int my = mcu_index / mcus_x;
@@ -131,9 +171,7 @@ class Parser {
             const int gy = my * c.v + by;
             std::int16_t* blk =
                 c.coeffs + (static_cast<std::size_t>(gy) * c.blocks_x + gx) * 64;
-            if (!decode_block(br, blk, dc_pred[ci], *dc_tables[c.dc_table],
-                              *ac_tables[c.ac_table]))
-              fail("corrupt entropy-coded data");
+            if (!decode(c, blk, dc_pred[ci])) fail("corrupt entropy-coded data");
           }
         }
       }
@@ -386,11 +424,11 @@ class Parser {
       spec.symbols.reserve(static_cast<std::size_t>(total));
       for (int i = 0; i < total; ++i) spec.symbols.push_back(read_u8());
       try {
-        const HuffmanDecoder& dec = ctx_.decoder_for(spec);
-        (tc == 0 ? dc_tables : ac_tables)[th] = &dec;
+        spec.validate();
       } catch (const std::invalid_argument& e) {
         fail(std::string("invalid Huffman table: ") + e.what());
       }
+      (tc == 0 ? dc_specs : ac_specs)[th] = std::move(spec);
     }
   }
 

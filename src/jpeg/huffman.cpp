@@ -47,13 +47,14 @@ CanonicalCodes derive_codes(const HuffmanSpec& spec) {
   return cc;
 }
 
-constexpr int kMaxLutBits = 12;  // 4096 entries / table; wider gains nothing
+constexpr int kMaxLutBits = 12;      // 4096 entries / table; wider gains nothing
+constexpr int kDefaultLutBits = 11;  // fastest in the width sweep (docs/ARCHITECTURE.md)
 
 int clamp_lut_bits(int bits) { return std::clamp(bits, 0, kMaxLutBits); }
 
 std::atomic<int>& lut_bits_state() {
   static std::atomic<int> state = [] {
-    int bits = 8;
+    int bits = kDefaultLutBits;
     if (const char* env = std::getenv("DNJ_ENTROPY_LUT_BITS")) {
       char* end = nullptr;
       const long parsed = std::strtol(env, &end, 10);
@@ -259,27 +260,50 @@ HuffmanDecoder::HuffmanDecoder(const HuffmanSpec& spec) : symbols_(spec.symbols)
     max_code_[static_cast<std::size_t>(l)] = cc.codes[k - 1];
   }
 
-  // Peek table: every W-bit window whose prefix is a code of length l <= W
-  // maps to {symbol, l}; the 2^(W-l) extensions of each code share one
-  // entry. Windows left at len == 0 (longer codes, invalid prefixes) take
-  // the bit-by-bit fallback.
+  // Lookup table: every W-bit window whose prefix is a code of length
+  // l <= W gets that code's entry; the 2^(W-l) extensions of a code share
+  // it, except that a fused code spreads its 2^s magnitude values over
+  // them. Windows left empty (longer codes, invalid prefixes) take the
+  // MAXCODE walk.
   lut_bits_ = entropy_lut_bits();
-  if (lut_bits_ > 0) {
-    lut_.assign(std::size_t{1} << lut_bits_, LutEntry{});
-    std::size_t idx = 0;
-    for (int l = 1; l <= 16; ++l) {
-      for (int i = 0; i < spec.counts[static_cast<std::size_t>(l)]; ++i, ++idx) {
-        if (l > lut_bits_) continue;
-        const std::uint32_t base = static_cast<std::uint32_t>(cc.codes[idx])
-                                   << (lut_bits_ - l);
-        const std::uint32_t span = 1u << (lut_bits_ - l);
-        for (std::uint32_t w = 0; w < span; ++w) {
-          lut_[base + w].sym = spec.symbols[idx];
-          lut_[base + w].len = static_cast<std::uint8_t>(l);
-        }
-      }
+  lut_shift_ = 64 - lut_bits_;
+  if (lut_bits_ == 0) return;
+  const int w = lut_bits_;
+  lut_.assign(std::size_t{1} << w, kNotFused);
+  for (std::size_t idx = 0; idx < cc.codes.size(); ++idx) {
+    const int l = cc.sizes[idx];
+    if (l > w) break;  // codes come in order of length
+    const std::uint32_t sym = spec.symbols[idx];
+    const int size = static_cast<int>(sym & 0x0Fu);
+    const std::uint32_t base = static_cast<std::uint32_t>(cc.codes[idx]) << (w - l);
+    const std::uint32_t span = 1u << (w - l);
+    if (size == 0 || l + size > w) {
+      const std::uint32_t entry = (sym << 8) | kNotFused | static_cast<std::uint32_t>(l);
+      std::fill_n(lut_.begin() + base, span, entry);
+      continue;
+    }
+    // Fused: window = code | magnitude (size bits) | don't-care tail.
+    const int tail = w - l - size;
+    for (std::uint32_t m = 0; m < (1u << size); ++m) {
+      const int value = extend_magnitude(static_cast<int>(m), size);
+      const std::uint32_t entry =
+          (static_cast<std::uint32_t>(static_cast<std::uint16_t>(value)) << 16) |
+          ((sym >> 4) << 8) | static_cast<std::uint32_t>(l + size);
+      std::fill_n(lut_.begin() + (base | (m << tail)), std::size_t{1} << tail, entry);
     }
   }
+}
+
+HuffmanDecoder::Walk HuffmanDecoder::walk(std::uint64_t window, int first_len) const {
+  for (int l = first_len; l <= 16; ++l) {
+    const auto code = static_cast<std::int32_t>(window >> (64 - l));
+    if (max_code_[static_cast<std::size_t>(l)] >= 0 && code <= max_code_[static_cast<std::size_t>(l)]) {
+      const std::int32_t idx =
+          val_ptr_[static_cast<std::size_t>(l)] + (code - min_code_[static_cast<std::size_t>(l)]);
+      return {symbols_[static_cast<std::size_t>(idx)], l};
+    }
+  }
+  return {-1, 0};  // invalid code
 }
 
 int HuffmanDecoder::decode(BitReader& br) const {

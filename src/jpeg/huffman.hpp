@@ -37,13 +37,13 @@ struct HuffmanSpec {
   static HuffmanSpec build_optimal(const std::array<std::uint32_t, 256>& freq);
 };
 
-/// Width in bits of the peek table HuffmanDecoder builds (0 disables the
-/// lookup table entirely — pure bit-by-bit reference decoding). Resolved
-/// once from the DNJ_ENTROPY_LUT_BITS environment variable (clamped to
-/// [0, 12], default 8); set_entropy_lut_bits overrides it for tests and
-/// benches. The width only affects decode *speed*: decoded output is
-/// bit-identical at every width. Takes effect for decoders constructed
-/// after the call; not safe to call concurrently with decoding.
+/// Width in bits of the lookup table HuffmanDecoder builds (0 disables the
+/// table entirely — pure bit-by-bit reference decoding). Resolved once from
+/// the DNJ_ENTROPY_LUT_BITS environment variable (clamped to [0, 12],
+/// default 11); set_entropy_lut_bits overrides it for tests and benches.
+/// The width only affects decode *speed*: decoded output is bit-identical
+/// at every width. Takes effect for decoders constructed after the call;
+/// not safe to call concurrently with decoding.
 int entropy_lut_bits();
 void set_entropy_lut_bits(int bits);
 
@@ -122,10 +122,31 @@ class HuffmanEncoder {
   std::array<std::uint8_t, 4> zrl_len_{};
 };
 
+/// T.81 F.2.2.1 EXTEND: the signed value of a `size`-bit magnitude field,
+/// size in [1, 15] (a leading 0 bit encodes a negative value). Branchless:
+/// coefficient signs are noise-like, so a sign branch would mispredict
+/// half the time.
+inline int extend_magnitude(int raw, int size) {
+  const int negative = -static_cast<int>(raw < (1 << (size - 1)));  // 0 or -1
+  return raw + (negative & (1 - (1 << size)));
+}
+
 /// Decoder-side tables: MINCODE/MAXCODE/VALPTR (T.81 F.2.2.3) plus a
-/// libjpeg-style N-bit peek table resolving every code of <= N bits in one
-/// lookup; longer codes, markers and truncation fall back to the bit-by-bit
-/// reference walk.
+/// 2^W-entry lookup table over the next W = lut_bits() bits of the stream
+/// (libjpeg-turbo's jdhuff.c fast path). Each entry is one packed word:
+///
+///  * fused — the window starts with a code of size category s >= 1
+///    whose code length plus s magnitude bits fit in W: the entry holds
+///    the sign-extended value, the run (the symbol's high nibble) and the
+///    total length, so the whole coefficient costs one lookup;
+///  * symbol — a code of <= W bits that does not fuse (EOB, ZRL, a
+///    magnitude too long for the window): the symbol and the code length;
+///  * empty — no code of <= W bits is a prefix of the window.
+///
+/// Symbols are read the AC way (run << 4 | size); a DC table's symbols
+/// are plain sizes, which read as run 0. Empty entries and codes longer
+/// than W take the MAXCODE walk over the cursor window, and a window near
+/// a marker or the end of data takes the bit-by-bit decode().
 class HuffmanDecoder {
  public:
   explicit HuffmanDecoder(const HuffmanSpec& spec);
@@ -134,38 +155,71 @@ class HuffmanDecoder {
   /// This is the reference path (and the only path when lut_bits() == 0).
   int decode(BitReader& br) const;
 
-  /// Reads one symbol through the peek table when possible. Same result
-  /// and same consumed bits as decode() for every stream, including
-  /// corrupt ones. Inline: one call per entropy-decoded symbol.
-  int decode_fast(BitReader& br) const {
-    if (lut_bits_ > 0) {
-      const int avail = br.ensure(lut_bits_);
-      const LutEntry e = lut_[br.peek(lut_bits_)];
-      // Entry valid only when its code fits the *real* buffered bits —
-      // zero padding near end-of-scan must not fabricate a short code.
-      if (e.len != 0 && e.len <= avail) {
-        br.consume(e.len);
-        return e.sym;
-      }
-    }
-    return decode(br);
+  /// The lookup entry for the next lut_bits() bits of `window` (a
+  /// ReadCursor window). Precondition: lut_bits() > 0.
+  std::uint32_t lookup(std::uint64_t window) const { return lut_[window >> lut_shift_]; }
+
+  /// Bits a fused entry consumes (code plus magnitude). Every non-fused
+  /// entry reads above 64, so `fused_length(e) <= cursor.bits()` is the
+  /// whole fast-path test — it also rejects a fused code that runs past
+  /// the bits really buffered in front of a marker.
+  static int fused_length(std::uint32_t e) { return static_cast<int>(e & 0xFFu); }
+  /// Zero-run in front of a fused coefficient (0 for every DC size).
+  static int fused_run(std::uint32_t e) { return static_cast<int>((e >> 8) & 0xFFu); }
+  /// Sign-extended coefficient value of a fused entry.
+  static int fused_value(std::uint32_t e) {
+    return static_cast<std::int16_t>(static_cast<std::uint16_t>(e >> 16));
   }
 
-  /// Peek-table width this decoder was built with.
+  /// Decodes the symbol at the cursor whose lookup entry `e` did not fuse
+  /// (or fused past the buffered bits) and consumes its code. Same symbol
+  /// and same consumed bits as decode() on the same stream, including
+  /// corrupt ones; -1 on an invalid or truncated code.
+  int decode_symbol(BitReader::ReadCursor& c, std::uint32_t e) const {
+    const std::uint32_t t = e & 0xFFu;
+    // Symbol entries read 0x80 | code length: one unsigned compare accepts
+    // a code of length 1..bits() and rejects fused and empty entries.
+    if (t - (kNotFused + 1) < static_cast<std::uint32_t>(c.bits())) {
+      c.skip(static_cast<int>(t - kNotFused));
+      return static_cast<int>((e >> 8) & 0xFFu);
+    }
+    if (c.bits() < 16) c.refill();
+    if (c.bits() >= 16) {
+      // Every code fits the window: walk MAXCODE on it, starting past the
+      // table width when the entry proves no shorter code matches.
+      const Walk w = walk(c.window(), t == kNotFused ? lut_bits_ + 1 : 1);
+      if (w.len > 0) c.skip(w.len);
+      return w.symbol;
+    }
+    // In front of a marker or the end of data: let the reference walk
+    // decide bit by bit, exactly as at width 0.
+    c.commit();
+    const int symbol = decode(c.reader());
+    c.reload();
+    return symbol;
+  }
+
+  /// Lookup-table width this decoder was built with.
   int lut_bits() const { return lut_bits_; }
 
  private:
-  struct LutEntry {
-    std::uint8_t sym = 0;
-    std::uint8_t len = 0;  // 0 = no code of <= lut_bits_ bits has this prefix
+  // Low-byte flag of every non-fused entry; an empty entry is the flag alone.
+  static constexpr std::uint32_t kNotFused = 0x80u;
+
+  struct Walk {
+    int symbol;  // -1 when no code of <= 16 bits matches
+    int len;
   };
+  // MAXCODE walk (T.81 F.2.2.3) over a window with >= 16 real bits.
+  Walk walk(std::uint64_t window, int first_len) const;
 
   std::array<std::int32_t, 17> min_code_{};
   std::array<std::int32_t, 17> max_code_{};  // -1 where no codes of that length
   std::array<std::int32_t, 17> val_ptr_{};
   std::vector<std::uint8_t> symbols_;
-  std::vector<LutEntry> lut_;
+  std::vector<std::uint32_t> lut_;  // packed entries, see the class comment
   int lut_bits_ = 0;
+  int lut_shift_ = 64;  // 64 - lut_bits_
 };
 
 }  // namespace dnj::jpeg

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include "jpeg/bitio.hpp"
 #include "jpeg/markers.hpp"
@@ -145,6 +147,136 @@ TEST(BitReader, EndOfDataReturnsMinusOne) {
   BitReader br(data.data(), data.size());
   EXPECT_EQ(br.get_bit(), 1);
   EXPECT_EQ(br.get_bits(8), -1);
+}
+
+// ---------------------------------------------------------------------------
+// ReadCursor: the register-resident window must deliver exactly the bits
+// get_bits delivers, stop where it stops, and hand back exact state.
+// ---------------------------------------------------------------------------
+
+// `n` random data bytes with no 0xFF (callers place stuffing and markers).
+std::vector<std::uint8_t> plain_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (std::uint8_t& b : v) b = static_cast<std::uint8_t>(rng() % 0xFF);
+  return v;
+}
+
+// Reads `bytes` to exhaustion in random chunks of 1..31 bits through
+// get_bits and through a ReadCursor (refilled only when short, like the
+// block decoder). Both must deliver the same values, run dry on the same
+// chunk with the same bits left over, and stop at the same byte.
+void expect_cursor_matches_get_bits(const std::vector<std::uint8_t>& bytes,
+                                    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  BitReader ref(bytes.data(), bytes.size());
+  BitReader under(bytes.data(), bytes.size());
+  BitReader::ReadCursor cur(under);
+  for (;;) {
+    const int n = 1 + static_cast<int>(rng() % 31);
+    const std::int32_t expect = ref.get_bits(n);
+    if (cur.bits() < n) cur.refill();
+    if (expect < 0) {
+      EXPECT_LT(cur.bits(), n);
+      EXPECT_EQ(cur.bits(), ref.buffered_bits());
+      break;
+    }
+    ASSERT_GE(cur.bits(), n);
+    ASSERT_EQ(static_cast<std::int32_t>(cur.take(n)), expect);
+  }
+  cur.commit();
+  EXPECT_EQ(under.position(), ref.position());
+  EXPECT_EQ(under.buffered_bits(), ref.buffered_bits());
+}
+
+TEST(ReadCursor, StuffedByteAtEveryOffset) {
+  for (std::size_t off = 0; off <= 40; ++off) {
+    std::vector<std::uint8_t> s = plain_bytes(40, off);
+    s.insert(s.begin() + static_cast<long>(off), {0xFF, 0x00});
+    SCOPED_TRACE("offset " + std::to_string(off));
+    expect_cursor_matches_get_bits(s, off);
+    s.insert(s.end(), {0xFF, kEOI});
+    expect_cursor_matches_get_bits(s, off + 100);
+  }
+}
+
+TEST(ReadCursor, FillBytesBeforeStuffingAndMarkers) {
+  for (std::size_t off = 0; off <= 24; ++off) {
+    std::vector<std::uint8_t> s = plain_bytes(24, off + 7);
+    // FF FF 00: one fill byte, then a stuffed 0xFF data byte.
+    s.insert(s.begin() + static_cast<long>(off), {0xFF, 0xFF, 0x00});
+    s.insert(s.end(), {0xFF, 0xFF, 0xFF, kEOI});  // fill bytes, then EOI
+    SCOPED_TRACE("offset " + std::to_string(off));
+    expect_cursor_matches_get_bits(s, off);
+  }
+}
+
+TEST(ReadCursor, MarkerAtEveryOffset) {
+  for (std::size_t off = 0; off <= 40; ++off) {
+    std::vector<std::uint8_t> s = plain_bytes(40, off + 50);
+    s[(off * 7) % s.size()] = 0xFF;  // a stuffed byte somewhere, too
+    s.insert(s.begin() + static_cast<long>((off * 7) % s.size()) + 1, 0x00);
+    s.insert(s.begin() + static_cast<long>(off), {0xFF, 0xD3});  // RST3
+    SCOPED_TRACE("offset " + std::to_string(off));
+    expect_cursor_matches_get_bits(s, off);
+    // Nothing past the marker is delivered, however often refill runs.
+    BitReader br(s.data(), s.size());
+    BitReader::ReadCursor cur(br);
+    cur.refill();
+    while (cur.bits() > 0) {
+      cur.skip(std::min(cur.bits(), 7));
+      cur.refill();
+    }
+    cur.refill();
+    EXPECT_EQ(cur.bits(), 0);
+    cur.commit();
+    EXPECT_EQ(br.peek_marker(), 0xD3);
+  }
+}
+
+TEST(ReadCursor, TruncatedEnds) {
+  std::vector<std::uint8_t> full = plain_bytes(30, 9);
+  full.insert(full.begin() + 11, {0xFF, 0x00});
+  full.insert(full.begin() + 20, {0xFF, 0xFF, 0x00});
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    const std::vector<std::uint8_t> s(full.begin(), full.begin() + static_cast<long>(len));
+    SCOPED_TRACE("length " + std::to_string(len));
+    expect_cursor_matches_get_bits(s, len);
+  }
+  // A lone trailing 0xFF is not data: neither reader delivers it.
+  std::vector<std::uint8_t> lone = plain_bytes(12, 10);
+  lone.push_back(0xFF);
+  expect_cursor_matches_get_bits(lone, 3);
+}
+
+TEST(ReadCursor, CommitRoundTripsPositionAndBufferedBits) {
+  const std::vector<std::uint8_t> s = plain_bytes(64, 11);  // no stuffing
+  std::mt19937_64 rng(12);
+  for (int trial = 0; trial < 50; ++trial) {
+    BitReader br(s.data(), s.size());
+    BitReader ref(s.data(), s.size());
+    int consumed = 0;
+    // Alternate cursor sessions with direct get_bits reads.
+    for (int session = 0; session < 4; ++session) {
+      BitReader::ReadCursor cur(br);
+      const int reads = static_cast<int>(rng() % 6);
+      for (int i = 0; i < reads; ++i) {
+        const int n = 1 + static_cast<int>(rng() % 24);
+        if (cur.bits() < n) cur.refill();
+        ASSERT_GE(cur.bits(), n);
+        ASSERT_EQ(static_cast<std::int32_t>(cur.take(n)), ref.get_bits(n));
+        consumed += n;
+      }
+      cur.commit();
+      // Exact accounting: every byte read is either consumed or buffered.
+      EXPECT_EQ(8 * static_cast<int>(br.position()) - br.buffered_bits(), consumed);
+      BitReader::ReadCursor again(br);  // reload sees the committed state
+      EXPECT_EQ(again.bits(), br.buffered_bits());
+      const int n = 1 + static_cast<int>(rng() % 9);
+      ASSERT_EQ(br.get_bits(n), ref.get_bits(n));
+      consumed += n;
+    }
+  }
 }
 
 TEST(Markers, Predicates) {

@@ -15,8 +15,14 @@
 //  * Batched emission — encode_blocks_zz must emit byte-identical streams
 //    to per-block encode_block_zz, and the BlockCursor must match the
 //    BitWriter bit for bit.
+//  * Cursor decode — category-11 DC and category-10 AC magnitudes (fused
+//    and not), a run pushing k past the block, and a last code ending on
+//    the last bit of the scan decode exactly as at width 0.
+//  * SOS-time table build — DHT redefinitions cost no decoder builds; only
+//    the tables the scan references are built.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -27,6 +33,7 @@
 #include "jpeg/block_coder.hpp"
 #include "jpeg/codec.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
+#include "jpeg/zigzag.hpp"
 
 namespace dnj::jpeg {
 namespace {
@@ -458,6 +465,225 @@ TEST(BatchEncode, BlockCursorMatchesPutBits) {
   we.flush();
   wg.flush();
   EXPECT_EQ(expect, got);
+}
+
+// ---------------------------------------------------------------------------
+// Cursor decode: fused entries, long magnitudes and exact scan ends
+// ---------------------------------------------------------------------------
+
+// Widths the cursor tests sweep: the reference, the narrowest table (no
+// code fuses), the old default, the default and the widest.
+std::vector<int> cursor_widths() { return {0, 1, 8, entropy_lut_bits(), 12}; }
+
+struct TablePair {
+  HuffmanSpec dc, ac;
+};
+
+// Per-image optimal tables for `blocks`: frequent symbols get short codes,
+// so at wide widths even 10- and 11-bit magnitudes fuse.
+TablePair optimal_tables(const std::vector<QuantizedBlock>& blocks) {
+  SymbolCounts counts;
+  int pred = 0;
+  for (const QuantizedBlock& b : blocks) count_block_symbols(b, pred, counts);
+  return {HuffmanSpec::build_optimal(counts.dc), HuffmanSpec::build_optimal(counts.ac)};
+}
+
+std::vector<std::uint8_t> encode_blocks(const std::vector<QuantizedBlock>& blocks,
+                                        const TablePair& t) {
+  const HuffmanEncoder dc(t.dc), ac(t.ac);
+  std::vector<std::uint8_t> bytes;
+  BitWriter bw(bytes);
+  int pred = 0;
+  for (const QuantizedBlock& b : blocks) encode_block(bw, b, pred, dc, ac);
+  bw.flush();
+  return bytes;
+}
+
+// Decodes `count` blocks at lookup width `width`; false on the first
+// rejected block. `br` is left where the decode stopped.
+bool decode_blocks(BitReader& br, const TablePair& t, int width, std::size_t count,
+                   std::vector<QuantizedBlock>& out) {
+  LutWidthGuard guard;
+  set_entropy_lut_bits(width);
+  const HuffmanDecoder dc(t.dc), ac(t.ac);
+  out.assign(count, QuantizedBlock{});
+  int pred = 0;
+  for (QuantizedBlock& b : out)
+    if (!decode_block(br, b, pred, dc, ac)) return false;
+  return true;
+}
+
+TEST(CursorDecode, Category11DcAndCategory10AcMagnitudes) {
+  std::vector<QuantizedBlock> blocks;
+  for (int i = 0; i < 24; ++i) {
+    QuantizedBlock b{};
+    b[0] = static_cast<std::int16_t>(i % 2 == 0 ? 1023 : -1024);  // DC diffs of +-2047
+    b[static_cast<std::size_t>(kZigzag[1])] = static_cast<std::int16_t>(i % 3 ? 1023 : -1023);
+    b[static_cast<std::size_t>(kZigzag[2 + i])] = static_cast<std::int16_t>(-512 + i);
+    b[static_cast<std::size_t>(kZigzag[63])] = static_cast<std::int16_t>(i % 2 ? 1000 : -1000);
+    blocks.push_back(b);
+  }
+  const TablePair annex_k{HuffmanSpec::default_dc_luma(), HuffmanSpec::default_ac_luma()};
+  for (const TablePair& t : {annex_k, optimal_tables(blocks)}) {
+    const std::vector<std::uint8_t> bytes = encode_blocks(blocks, t);
+    for (const int width : cursor_widths()) {
+      SCOPED_TRACE("lut_bits=" + std::to_string(width));
+      BitReader br(bytes.data(), bytes.size());
+      std::vector<QuantizedBlock> got;
+      ASSERT_TRUE(decode_blocks(br, t, width, blocks.size(), got));
+      EXPECT_EQ(got, blocks);
+    }
+  }
+}
+
+TEST(CursorDecode, RunPastBlockEndIsRejected) {
+  // Four (run 15, size 1) symbols: k = 16, 32, 48, then 64 — out of the
+  // block. Through the Annex K table (a 16-bit code: symbol path) and an
+  // optimal table where the symbol has a short code (fused path).
+  for (const bool optimal : {false, true}) {
+    TablePair t{HuffmanSpec::default_dc_luma(), HuffmanSpec::default_ac_luma()};
+    if (optimal) {
+      std::array<std::uint32_t, 256> ac{};
+      ac[0xF1] = 100;
+      ac[0x00] = 10;
+      ac[0x01] = 1;
+      std::array<std::uint32_t, 256> dc{};
+      dc[0] = 1;
+      t = {HuffmanSpec::build_optimal(dc), HuffmanSpec::build_optimal(ac)};
+    }
+    const HuffmanEncoder dc(t.dc), ac(t.ac);
+    std::vector<std::uint8_t> bytes;
+    BitWriter bw(bytes);
+    dc.encode(bw, 0x00);  // DC diff 0
+    for (int i = 0; i < 4; ++i) ac.encode_with_extra(bw, 0xF1, 1, 1);
+    bw.put_bits(0, 32);  // plenty of trailing bits: the run, not the end, fails
+    bw.flush();
+    for (const int width : cursor_widths()) {
+      SCOPED_TRACE(std::string(optimal ? "optimal" : "annex_k") +
+                   " lut_bits=" + std::to_string(width));
+      BitReader br(bytes.data(), bytes.size());
+      std::vector<QuantizedBlock> got;
+      EXPECT_FALSE(decode_blocks(br, t, width, 1, got));
+    }
+  }
+}
+
+TEST(CursorDecode, FinalCodeEndingExactlyAtScanEnd) {
+  // Random blocks whose coded length is a whole number of bytes, so the
+  // last code (an EOB, or a fused coefficient at k = 63 with no EOB) ends
+  // on the last bit of the data — with and without a marker after it.
+  const TablePair t{HuffmanSpec::default_dc_luma(), HuffmanSpec::default_ac_luma()};
+  std::mt19937_64 rng(51);
+  int found[2] = {0, 0};
+  for (int attempt = 0; attempt < 400 && (found[0] < 3 || found[1] < 3); ++attempt) {
+    const bool ends_with_coefficient = attempt % 2 == 1;
+    std::vector<QuantizedBlock> blocks(1 + rng() % 3);
+    for (QuantizedBlock& b : blocks) {
+      b[0] = static_cast<std::int16_t>(static_cast<int>(rng() % 200) - 100);
+      for (int n = 0; n < 4; ++n)
+        b[static_cast<std::size_t>(kZigzag[1 + rng() % 40])] =
+            static_cast<std::int16_t>(static_cast<int>(rng() % 9) - 4);
+    }
+    if (ends_with_coefficient) blocks.back()[static_cast<std::size_t>(kZigzag[63])] = 1;
+    std::vector<std::uint8_t> bytes = encode_blocks(blocks, t);
+    // Keep only streams the reference decodes with no pad bits left over.
+    {
+      BitReader br(bytes.data(), bytes.size());
+      std::vector<QuantizedBlock> ref;
+      ASSERT_TRUE(decode_blocks(br, t, 0, blocks.size(), ref));
+      if (br.buffered_bits() + 8 * static_cast<int>(bytes.size() - br.position()) != 0)
+        continue;
+    }
+    ++found[ends_with_coefficient ? 1 : 0];
+    for (const bool marker : {false, true}) {
+      std::vector<std::uint8_t> s = bytes;
+      if (marker) s.insert(s.end(), {0xFF, 0xD9});
+      for (const int width : cursor_widths()) {
+        SCOPED_TRACE("attempt " + std::to_string(attempt) + " marker=" +
+                     std::to_string(marker) + " lut_bits=" + std::to_string(width));
+        BitReader br(s.data(), s.size());
+        std::vector<QuantizedBlock> got;
+        ASSERT_TRUE(decode_blocks(br, t, width, blocks.size(), got));
+        EXPECT_EQ(got, blocks);
+        EXPECT_EQ(br.buffered_bits(), 0);
+        EXPECT_EQ(br.position(), bytes.size());
+      }
+    }
+  }
+  EXPECT_GE(found[0], 3);
+  EXPECT_GE(found[1], 3);
+}
+
+// ---------------------------------------------------------------------------
+// Decoder tables are built at SOS, for the referenced slots only
+// ---------------------------------------------------------------------------
+
+// One DHT segment holding `tables` two-symbol tables, cycling through
+// seventeen distinct symbol pairs, all into DC slot `slot`.
+std::vector<std::uint8_t> junk_dht(int tables, int slot) {
+  std::vector<std::uint8_t> body;
+  for (int i = 0; i < tables; ++i) {
+    body.push_back(static_cast<std::uint8_t>(slot));  // class 0 (DC), index
+    for (int l = 1; l <= 16; ++l) body.push_back(l == 1 ? 2 : 0);
+    body.push_back(static_cast<std::uint8_t>(i % 17));
+    body.push_back(static_cast<std::uint8_t>(i % 17 + 1));
+  }
+  const std::size_t len = body.size() + 2;
+  std::vector<std::uint8_t> seg = {0xFF, 0xC4, static_cast<std::uint8_t>(len >> 8),
+                                   static_cast<std::uint8_t>(len & 0xFF)};
+  seg.insert(seg.end(), body.begin(), body.end());
+  return seg;
+}
+
+TEST(SosTableBuild, BuildsOnlyReferencedTables) {
+  for (const int channels : {1, 3}) {
+    EncoderConfig ec;
+    ec.quality = 85;
+    const std::vector<std::uint8_t> plain = encode(synth(40, 32, channels, 61), ec);
+    // Many redefinitions of slot 0 ahead of the stream's own DHT (the real
+    // tables overwrite them), and of slot 3 (never referenced) after it,
+    // right before SOS: tables built as they were defined would cycle the
+    // context's sixteen-slot cache under the real ones.
+    // SOS: marker (2), length (2), count (1), 2 per component, 3 trailing.
+    const std::size_t sos = scan_begin(plain) - 8 - 2 * static_cast<std::size_t>(channels);
+    ASSERT_EQ(plain[sos + 1], 0xDA);
+    const std::vector<std::uint8_t> ahead = junk_dht(600, 0), behind = junk_dht(600, 3);
+    std::vector<std::uint8_t> s(plain.begin(), plain.begin() + 2);
+    s.insert(s.end(), ahead.begin(), ahead.end());
+    s.insert(s.end(), plain.begin() + 2, plain.begin() + static_cast<long>(sos));
+    s.insert(s.end(), behind.begin(), behind.end());
+    s.insert(s.end(), plain.begin() + static_cast<long>(sos), plain.end());
+
+    pipeline::CodecContext ref_ctx, ctx;
+    const image::Image expect = decode(plain, ref_ctx, 1);
+    EXPECT_EQ(decode(s, ctx, 1).data(), expect.data());
+    // Gray references one DC and one AC table; colour two of each.
+    EXPECT_LE(ctx.reuse_counters().huffman_decoder_builds, channels == 1 ? 2u : 4u);
+    // Header-only parses build nothing at all.
+    const pipeline::CodecContext& thread_ctx = pipeline::thread_codec_context();
+    const std::uint64_t before = thread_ctx.reuse_counters().huffman_decoder_builds;
+    (void)parse_info(s);
+    EXPECT_EQ(thread_ctx.reuse_counters().huffman_decoder_builds, before);
+  }
+}
+
+TEST(SosTableBuild, InvalidTableInUnreferencedSlotStillFails) {
+  EncoderConfig ec;
+  ec.quality = 85;
+  const std::vector<std::uint8_t> plain = encode(synth(16, 16, 1, 62), ec);
+  // Slot 3 with three 1-bit codes: violates the Kraft inequality.
+  std::vector<std::uint8_t> s(plain.begin(), plain.begin() + 2);
+  s.insert(s.end(), {0xFF, 0xC4, 0x00, 0x16, 0x03, 0x03});
+  for (int l = 2; l <= 16; ++l) s.push_back(0);
+  s.insert(s.end(), {0x00, 0x01, 0x02});
+  s.insert(s.end(), plain.begin() + 2, plain.end());
+  try {
+    (void)decode(s);
+    ADD_FAILURE() << "invalid DHT decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid Huffman table"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "api/session.hpp"
 #include "data/synthetic.hpp"
 #include "jpeg/codec.hpp"
+#include "jpeg/pipeline/codec_context.hpp"
 
 namespace dnj::jpeg {
 namespace {
@@ -190,6 +191,26 @@ TEST(Robustness, PatchedSamplingFactorsAreTypedErrors) {
     for (std::size_t c = 0; c < 3; ++c) patched[hv0 + 3 * c] = hv[c];
     expect_graceful(patched);
   }
+}
+
+TEST(Robustness, HugeDeclaredFrameFailsBeforeSizingArenas) {
+  // A small stream whose SOF claims 65535 x 65535 pixels: the scan holds
+  // far fewer than the two bits per block the frame needs, so decode must
+  // throw before sizing the coefficient arenas (gigabytes at that size),
+  // not after.
+  std::vector<std::uint8_t> s = reference_stream();
+  std::size_t sof = 0;
+  for (std::size_t i = 0; i + 1 < s.size(); ++i)
+    if (s[i] == 0xFF && s[i + 1] == 0xC0) {
+      sof = i;
+      break;
+    }
+  ASSERT_GT(sof, 0u);
+  for (std::size_t i = sof + 5; i < sof + 9; ++i) s[i] = 0xFF;  // height, width
+  EXPECT_EQ(parse_info(s).width, 65535);
+  pipeline::CodecContext ctx;
+  EXPECT_THROW((void)decode(s, ctx, 1), std::runtime_error);
+  EXPECT_EQ(ctx.decode_coeffs[0].block_count(), 0u);
 }
 
 }  // namespace
