@@ -177,39 +177,29 @@ void JsonWriter::field(const std::string& key, bool value) {
   std::fputs(value ? "true" : "false", static_cast<std::FILE*>(file_));
 }
 
-void JsonWriter::begin_array(const std::string& key) {
-  comma_and_key(key);
-  std::fputs("[", static_cast<std::FILE*>(file_));
+void JsonWriter::open_scope(char kind) {
+  std::fputs(kind == 'A' ? "[" : "{", static_cast<std::FILE*>(file_));
   needs_comma_.push_back(false);
-  scope_kind_.push_back('A');
+  scope_kind_.push_back(kind);
 }
-
-void JsonWriter::end_array() { close_scope(); }
-
-void JsonWriter::begin_object() {
-  comma_only();
-  std::fputs("{", static_cast<std::FILE*>(file_));
-  needs_comma_.push_back(false);
-  scope_kind_.push_back('O');
-}
-
-void JsonWriter::end_object() { close_scope(); }
 
 void JsonWriter::begin_rows(const std::vector<std::string>& cols) {
   row_cols_ = cols;
-  begin_array("rows");
+  comma_and_key("rows");
+  open_scope('A');
 }
 
 void JsonWriter::row(const std::vector<std::string>& cells) {
   if (cells.size() != row_cols_.size())
     throw std::runtime_error("JsonWriter::row: cell count does not match columns");
-  begin_object();
+  comma_only();
+  open_scope('O');
   for (std::size_t i = 0; i < cells.size(); ++i) field(row_cols_[i], cells[i]);
-  end_object();
+  close_scope();
   std::fflush(static_cast<std::FILE*>(file_));
 }
 
-void JsonWriter::end_rows() { end_array(); }
+void JsonWriter::end_rows() { close_scope(); }
 
 std::string fmt(double v, int precision) {
   char buf[64];

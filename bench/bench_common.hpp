@@ -59,19 +59,18 @@ data::Dataset recompress_table(const data::Dataset& ds, const jpeg::QuantTable& 
 
 /// The one result emitter every bench binary uses: creates
 /// `bench_results/<name>.json` under the current working directory.
-/// Produces one top-level object; arrays of objects nest one level deep —
-/// enough both for the perf-baseline files (BENCH_*.json) that track
-/// throughput across PRs and for the figure benches' tabular output
-/// (begin_rows/row, which replaced the seed's separate CSV writer). Keys
-/// are written in call order, commas are managed internally, and any scopes
-/// still open when the writer is destroyed are closed so the file is always
-/// valid JSON.
+/// Produces one top-level object of scalar fields, optionally with one
+/// "rows" array of flat objects (begin_rows/row, which replaced the seed's
+/// separate CSV writer) — bench_design's gate fields and the figure
+/// benches' tables. Keys are written in call order, commas are managed
+/// internally, and any scopes still open when the writer is destroyed are
+/// closed so the file is always valid JSON.
 ///
 /// Construction stamps three run-metadata fields before any caller keys —
 /// "git_sha" (the commit the binary was configured from), "simd_level"
 /// (the dispatch level active at construction) and "threads" (the
-/// DNJ_THREADS/hardware default) — so every recorded trajectory is
-/// attributable to a commit and a machine configuration.
+/// DNJ_THREADS/hardware default) — so every result file is attributable to
+/// a commit and a machine configuration.
 class JsonWriter {
  public:
   explicit JsonWriter(const std::string& name);
@@ -85,10 +84,6 @@ class JsonWriter {
   void field(const std::string& key, std::size_t value);
   void field(const std::string& key, int value);
   void field(const std::string& key, bool value);  ///< emits true/false literals
-  void begin_array(const std::string& key);
-  void end_array();
-  void begin_object();  ///< only valid inside an array
-  void end_object();
 
   /// Tabular mode (the CSV replacement): begin_rows fixes the column names,
   /// each row() emits one object of column->cell pairs into a "rows" array.
@@ -101,6 +96,7 @@ class JsonWriter {
  private:
   void comma_and_key(const std::string& key);
   void comma_only();
+  void open_scope(char kind);  ///< 'A' = array, 'O' = object
   void close_scope();
 
   std::string path_;

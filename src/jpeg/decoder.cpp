@@ -218,7 +218,12 @@ class Parser {
       if (!is_rst(next)) fail("missing restart marker");
       if (next != kRST0 + static_cast<int>(segments.size() % 8))
         fail("restart marker out of sequence");
-      segments.push_back({seg_begin, p});
+      // The segment ends at the first 0xFF of any fill run before the
+      // marker (T.81 B.1.1.2): a data 0xFF is always stuffed with 0x00,
+      // so an 0xFF followed by 0xFF is fill, never payload.
+      std::size_t seg_end = p;
+      while (seg_end > seg_begin && scan[seg_end - 1] == 0xFF) --seg_end;
+      segments.push_back({seg_begin, seg_end});
       p += 2;
       seg_begin = p;
     }

@@ -491,9 +491,8 @@ RefComponent make_reference_component(const PlaneF& plane, int id, int h, int v,
       padded.at(x, y) = plane.at(sx, sy);
     }
   }
-  // Reciprocals hoisted out of the block loop so the reference baseline is
-  // not slower than the seed's inline divide loop (keeps the bench's
-  // reference-vs-pipeline speedup conservative).
+  // Reciprocals hoisted out of the block loop: the same rounding rule the
+  // batched path applies (see ReciprocalTable).
   const ReciprocalTable recip(table);
   comp.blocks.resize(static_cast<std::size_t>(grid_blocks_x) * grid_blocks_y);
   for (int by = 0; by < grid_blocks_y; ++by) {

@@ -73,7 +73,8 @@ std::vector<std::uint8_t> encode(const image::Image& img, const EncoderConfig& c
 /// The pre-pipeline per-block encoder shape (materialized BlockF copies,
 /// per-image table derivation, per-coefficient quantization of each block
 /// in turn), retained as the reference implementation the equivalence
-/// suite and the codec-pipeline bench compare the batched path against.
+/// suites (PipelineEquivalence in tests/test_jpeg_pipeline.cpp) compare
+/// the batched path against.
 /// Produces byte-identical streams to `encode`: both paths share the
 /// reciprocal quantization rounding rule (see ReciprocalTable), which may
 /// deviate from the original divide-based seed by one step in rare

@@ -1,5 +1,5 @@
 // Blocking protocol client — the reference peer for the event-loop server
-// and the engine under bench/bench_net.cpp and tests/test_net.cpp. One
+// and the engine under tests/test_net.cpp and perfbench's wire workloads. One
 // connection, synchronous socket I/O, the same FrameParser/marshalling
 // code the server uses (agreement by construction).
 //
@@ -10,8 +10,8 @@
 // completions; the protocol's request_id exists exactly for this).
 // call() is the one-shot convenience for when pipelining doesn't matter.
 //
-// Not thread-safe; one Client per thread (the load generator runs one per
-// simulated connection).
+// Not thread-safe; one Client per thread (the concurrent-client tests run
+// one per connection thread).
 #pragma once
 
 #include <cstdint>

@@ -682,10 +682,10 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
       done_.push_back(Done{conn_id, std::move(bytes), trace_id, trace_root, trace_start});
     }
     wake();
-    {
-      std::lock_guard<std::mutex> cb_lock(cb_mutex_);
-      --callbacks_outstanding_;
-    }
+    // Notify under the lock: once stop() sees the count reach zero the
+    // Server (and cb_cv_ with it) may be destroyed at once.
+    std::lock_guard<std::mutex> cb_lock(cb_mutex_);
+    --callbacks_outstanding_;
     cb_cv_.notify_all();
   });
 

@@ -328,6 +328,24 @@ TEST(EntropyRobustness, OutOfSequenceRestartMarkerIsRejected) {
   expect_decode_throws_at_every_width(s);
 }
 
+TEST(EntropyRobustness, FillByteBeforeRestartMarkerIsSkipped) {
+  // T.81 B.1.1.2 lets any marker be preceded by 0xFF fill bytes: the
+  // padded stream is the same image, at every thread count.
+  const std::vector<std::uint8_t> plain = restart_stream();
+  std::vector<std::uint8_t> padded = plain;
+  const std::size_t rst = first_rst(padded, scan_begin(padded));
+  ASSERT_LT(rst + 2, padded.size());
+  padded.insert(padded.begin() + static_cast<long>(rst), 0xFF);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    pipeline::CodecContext ctx;
+    const image::Image want = decode(plain, ctx, threads);
+    image::Image got;
+    ASSERT_NO_THROW(got = decode(padded, ctx, threads));
+    EXPECT_EQ(got.data(), want.data());
+  }
+}
+
 TEST(EntropyRobustness, TruncatedScanSweepNeverHangsOrCrashes) {
   LutWidthGuard guard;
   EncoderConfig ec;

@@ -14,9 +14,15 @@
 // skew, oversized), typed overload rejection, the connection cap, idle
 // timeouts, and graceful drain. Every blocking read is armed with a
 // receive timeout — a hung server fails a test, never the suite.
+//
+// ConcurrentClientsGetSynchronousPayloads carries the contract to several
+// connections at once: one thread per client pipelines bursts of mixed ops
+// into a small reject-policy queue; every reply id is answered exactly
+// once, with the synchronous payload or a typed rejection.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -611,6 +617,134 @@ TEST(NetApi, ServiceListenServesTheProtocol) {
   EXPECT_GT(service.listen_port(), 0);
   service.shutdown();  // implies stop_listening
   EXPECT_EQ(service.listen_port(), -1);
+}
+
+/// One wire request and its synchronous payload.
+struct WireForm {
+  serve::Request request;
+  std::vector<std::uint8_t> want_bytes;   ///< encode / transcode / deepn
+  std::vector<std::uint8_t> want_pixels;  ///< decode
+};
+
+TEST(NetServer, ConcurrentClientsGetSynchronousPayloads) {
+  serve::ServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.queue_capacity = 8;
+  cfg.admission = serve::AdmissionPolicy::kReject;
+  TestServer ts(std::move(cfg));
+
+  // Mixed ops over a few images, each paired with its synchronous result.
+  api::Session session;
+  std::vector<WireForm> forms;
+  const image::Image images[] = {test_image(), test_image(40, 28, 3), test_image(33, 17, 1)};
+  for (std::size_t k = 0; k < std::size(images); ++k) {
+    const image::Image& img = images[k];
+    const int quality = 70 + 5 * static_cast<int>(k);
+    const auto stored = session.codec().encode(
+        api::ImageView{img.data().data(), img.width(), img.height(), img.channels()},
+        api::EncodeOptions().quality(quality).chroma_420(false));
+    ASSERT_TRUE(stored.ok());
+
+    WireForm enc;
+    enc.request = encode_request(img, quality);
+    enc.want_bytes = stored.value();
+    forms.push_back(std::move(enc));
+
+    WireForm dec;
+    dec.request.kind = serve::RequestKind::kDecode;
+    dec.request.bytes = stored.value();
+    const auto decoded = session.codec().decode(stored.value());
+    ASSERT_TRUE(decoded.ok());
+    dec.want_pixels = decoded.value().pixels;
+    forms.push_back(std::move(dec));
+
+    WireForm trans;
+    trans.request.kind = serve::RequestKind::kTranscode;
+    trans.request.bytes = stored.value();
+    trans.request.config.quality = 60;
+    trans.request.config.subsampling = jpeg::Subsampling::k444;
+    const auto transcoded = session.codec().transcode(
+        stored.value(), api::EncodeOptions().quality(60).chroma_420(false));
+    ASSERT_TRUE(transcoded.ok());
+    trans.want_bytes = transcoded.value();
+    forms.push_back(std::move(trans));
+
+    WireForm deepn;
+    deepn.request.kind = serve::RequestKind::kDeepnEncode;
+    deepn.request.quality = quality;
+    deepn.request.image = img;
+    const serve::Response sync_deepn = ts.service.execute(deepn.request);
+    ASSERT_EQ(sync_deepn.status, serve::Status::kOk);
+    deepn.want_bytes = sync_deepn.bytes;
+    forms.push_back(std::move(deepn));
+  }
+
+  // Four connections, each on its own thread, pipeline bursts into the
+  // small reject-policy queue; replies are paired back up by request id.
+  constexpr int kClients = 4;
+  constexpr int kBursts = 4;
+  constexpr int kBurst = 24;
+  struct Tally {
+    std::size_t ok = 0, mismatched = 0, rejected = 0, other = 0, stray = 0, failed = 0;
+  };
+  std::vector<Client> clients;
+  for (int c = 0; c < kClients; ++c) clients.push_back(ts.connect());
+  std::vector<Tally> tallies(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Client& client = clients[static_cast<std::size_t>(c)];
+      Tally& t = tallies[static_cast<std::size_t>(c)];
+      std::string error;
+      for (int burst = 0; burst < kBursts; ++burst) {
+        std::map<std::uint32_t, std::size_t> pending;  // request id -> form
+        for (int i = 0; i < kBurst; ++i) {
+          const std::size_t form = static_cast<std::size_t>(burst * kBurst + i + c) % forms.size();
+          const std::uint32_t id = client.send_request(forms[form].request, &error);
+          if (id == 0) {
+            ++t.failed;
+            return;
+          }
+          pending.emplace(id, form);
+        }
+        while (!pending.empty()) {
+          WireReply reply;
+          if (!client.recv_reply(&reply, &error)) {
+            ++t.failed;
+            return;
+          }
+          const auto it = pending.find(reply.request_id);
+          if (it == pending.end()) {  // unknown or already answered id
+            ++t.stray;
+            continue;
+          }
+          const WireForm& f = forms[it->second];
+          pending.erase(it);
+          if (reply.status == WireStatus::kRejected)
+            ++t.rejected;
+          else if (reply.status != WireStatus::kOk)
+            ++t.other;
+          else if (reply.bytes == f.want_bytes && reply.image.data() == f.want_pixels)
+            ++t.ok;
+          else
+            ++t.mismatched;
+        }
+      }
+      // Nothing else is owed on the connection: the next reply is the pong.
+      if (!client.ping(&error)) ++t.failed;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    const Tally& t = tallies[static_cast<std::size_t>(c)];
+    SCOPED_TRACE("client " + std::to_string(c));
+    EXPECT_EQ(t.ok + t.rejected, static_cast<std::size_t>(kBursts * kBurst));
+    EXPECT_EQ(t.mismatched, 0u);
+    EXPECT_EQ(t.other, 0u);
+    EXPECT_EQ(t.stray, 0u);
+    EXPECT_EQ(t.failed, 0u);
+  }
 }
 
 }  // namespace

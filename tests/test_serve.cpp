@@ -7,9 +7,17 @@
 // contract. The expected values are computed with direct jpeg::/nn:: calls
 // (not TranscodeService::execute) so a service-side wiring bug cannot
 // cancel out of the comparison.
+//
+// ConcurrentClientsGetSynchronousPayloads extends it to several client
+// threads submitting at once: mixed forms across the worker/batch/cache
+// grid, a multi-tenant registry whose live configs outnumber the
+// scaled-table LRU, and an open burst under the reject policy.
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/transcode.hpp"
@@ -617,6 +625,146 @@ TEST(TranscodeService, PerTenantStatsAreAttributed) {
   EXPECT_EQ(st.tenants[0].service_time.count, 6u);
   EXPECT_EQ(st.tenants[1].service_time.count, 3u);
   EXPECT_GT(st.cache_bytes, 0u);
+}
+
+/// Outcome counts of one concurrent-client run.
+struct ClientTally {
+  std::size_t ok = 0;          ///< kOk, payload equal to the expectation
+  std::size_t mismatched = 0;  ///< kOk, payload differs
+  std::size_t rejected = 0;    ///< typed kRejected with an error message
+  std::size_t other = 0;       ///< anything else
+};
+
+/// `clients` threads share one service; client c submits forms c, c +
+/// clients, ... of `workload` (`per_client` of them, wrapping), firing all
+/// before collecting any, so submissions from every thread race through
+/// admission, batching and the caches at once.
+ClientTally run_clients(TranscodeService& service, const std::vector<Expected>& workload,
+                        int clients, int per_client) {
+  std::vector<ClientTally> tallies(static_cast<std::size_t>(clients));
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      ClientTally& t = tallies[static_cast<std::size_t>(c)];
+      std::vector<std::pair<std::future<Response>, std::size_t>> inflight;
+      for (int i = 0; i < per_client; ++i) {
+        const std::size_t form = static_cast<std::size_t>(i * clients + c) % workload.size();
+        inflight.emplace_back(service.submit(workload[form].request), form);
+      }
+      for (auto& [fut, form] : inflight) {
+        const Response r = fut.get();
+        const Response& want = workload[form].want;
+        if (r.status == Status::kRejected && !r.error.empty() && r.bytes.empty())
+          ++t.rejected;
+        else if (r.status != Status::kOk)
+          ++t.other;
+        else if (r.bytes == want.bytes && r.image == want.image && r.probs == want.probs)
+          ++t.ok;
+        else
+          ++t.mismatched;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ClientTally sum;
+  for (const ClientTally& t : tallies) {
+    sum.ok += t.ok;
+    sum.mismatched += t.mismatched;
+    sum.rejected += t.rejected;
+    sum.other += t.other;
+  }
+  return sum;
+}
+
+TEST(TranscodeService, ConcurrentClientsGetSynchronousPayloads) {
+  const jpeg::QuantTable deepn_luma = jpeg::QuantTable::annex_k_luma();
+  const jpeg::QuantTable deepn_chroma = jpeg::QuantTable::annex_k_chroma();
+  const std::vector<Expected> mixed = mixed_workload(nullptr, deepn_luma, deepn_chroma);
+  const int clients = 4;
+  const int per_client = 2 * static_cast<int>(mixed.size());
+
+  // (a) Mixed encode / decode / transcode / deepn forms from concurrent
+  // clients, blocking admission: everything is served, byte-identical.
+  for (int workers : {1, 8}) {
+    for (int max_batch : {1, 8}) {
+      for (std::size_t cache : {std::size_t{0}, std::size_t{512}}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " max_batch=" + std::to_string(max_batch) +
+                     " cache=" + std::to_string(cache));
+        ServiceConfig cfg;
+        cfg.workers = workers;
+        cfg.max_batch = max_batch;
+        cfg.cache_capacity = cache;
+        cfg.queue_capacity = 64;
+        cfg.deepn_luma = deepn_luma;
+        cfg.deepn_chroma = deepn_chroma;
+        TranscodeService service(cfg);
+        const ClientTally t = run_clients(service, mixed, clients, per_client);
+        EXPECT_EQ(t.ok, static_cast<std::size_t>(clients * per_client));
+        EXPECT_EQ(t.mismatched, 0u);
+        EXPECT_EQ(t.rejected + t.other, 0u);
+      }
+    }
+  }
+
+  // (b) 12 tenants x 2 qualities = 24 live configs through a 6-entry
+  // scaled-table LRU: the tables are re-derived under contention, and every
+  // payload still equals jpeg::encode under the registry entry's tables.
+  {
+    auto registry = std::make_shared<TableRegistry>();
+    const data::Dataset ds = gray_corpus(1);
+    std::vector<Expected> tenant_forms;
+    for (int t = 0; t < 12; ++t) {
+      const std::string name = "tenant-" + std::to_string(t);
+      registry->put(name, tenant_base(10 + 4 * t));
+      const std::shared_ptr<const TenantEntry> entry = registry->find(name);
+      for (const int quality : {40, 75}) {
+        for (const data::Sample& s : ds.samples) {
+          Expected e;
+          e.request = tenant_request(s.image, name, quality);
+          e.want.bytes = tenant_expected(s.image, entry->base, quality);
+          tenant_forms.push_back(std::move(e));
+        }
+      }
+    }
+    ServiceConfig cfg;
+    cfg.workers = 8;
+    cfg.max_batch = 8;
+    cfg.cache_capacity = 0;  // every request reaches the table LRU
+    cfg.table_cache_capacity = 6;
+    cfg.queue_capacity = 64;
+    cfg.registry = registry;
+    TranscodeService service(cfg);
+    const int tenant_clients = 8;
+    const ClientTally t = run_clients(service, tenant_forms, tenant_clients,
+                                      static_cast<int>(tenant_forms.size()));
+    EXPECT_EQ(t.ok, static_cast<std::size_t>(tenant_clients) * tenant_forms.size());
+    EXPECT_EQ(t.mismatched, 0u);
+    EXPECT_EQ(t.rejected + t.other, 0u);
+    const ServiceStats st = service.stats();
+    EXPECT_EQ(st.tenants.size(), 12u);
+    EXPECT_GT(st.table_cache_misses, cfg.table_cache_capacity);
+  }
+
+  // (c) An open burst into a 16-slot queue under the reject policy: every
+  // response is either the synchronous payload or a typed rejection.
+  {
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.max_batch = 8;
+    cfg.queue_capacity = 16;
+    cfg.admission = AdmissionPolicy::kReject;
+    cfg.deepn_luma = deepn_luma;
+    cfg.deepn_chroma = deepn_chroma;
+    TranscodeService service(cfg);
+    const ClientTally t = run_clients(service, mixed, clients, 4 * per_client);
+    EXPECT_EQ(t.ok + t.rejected, static_cast<std::size_t>(clients * 4 * per_client));
+    EXPECT_EQ(t.mismatched, 0u);
+    EXPECT_EQ(t.other, 0u);
+    const ServiceStats st = service.stats();
+    EXPECT_EQ(st.rejected, t.rejected);
+    EXPECT_LE(st.queue_high_water, cfg.queue_capacity);
+  }
 }
 
 }  // namespace
