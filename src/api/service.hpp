@@ -217,7 +217,8 @@ struct TenantMetrics {
   double service_p99_us = 0.0;
 };
 
-/// Point-in-time service counters + merged latency quantiles (µs).
+/// Point-in-time service counters + latency quantiles (µs), built from
+/// serve::ServiceStats, itself a view over the service's metrics registry.
 struct ServiceMetrics {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;

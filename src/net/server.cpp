@@ -91,46 +91,26 @@ Server::Server(serve::TranscodeService& service, ServerConfig config)
   if (config_.backlog < 1) config_.backlog = 1;
   if (config_.max_payload > kMaxPayloadBytes) config_.max_payload = kMaxPayloadBytes;
 
-  // Publish into the service's registry so one kStats scrape answers for
-  // both layers. The collector snapshots the loop/stats atomics — safe
-  // from any thread, no registry re-entry.
+  // Count into the service's registry so one kStats scrape answers for
+  // both layers; stats() reads the same instruments back.
   metrics_ = service_.metrics_registry();
-  response_bytes_ =
-      &metrics_->histogram("net_response_bytes", {}, 0.0, 262144.0, 128);
-  metrics_collector_ = metrics_->add_collector([this](std::vector<obs::Sample>& out) {
-    const ServerStats s = stats();
-    auto counter = [&out](const char* name, std::uint64_t v) {
-      obs::Sample smp;
-      smp.name = name;
-      smp.value = static_cast<double>(v);
-      smp.kind = obs::SampleKind::kCounter;
-      out.push_back(std::move(smp));
-    };
-    counter("net_connections_accepted_total", s.connections_accepted);
-    counter("net_connections_rejected_total", s.connections_rejected);
-    counter("net_connections_idle_closed_total", s.connections_idle_closed);
-    counter("net_frames_in_total", s.frames_in);
-    counter("net_frames_out_total", s.frames_out);
-    counter("net_pings_total", s.pings);
-    counter("net_requests_submitted_total", s.requests_submitted);
-    counter("net_protocol_errors_total", s.protocol_errors);
-    counter("net_responses_dropped_total", s.responses_dropped);
-    counter("net_stats_scrapes_total", s.stats_scrapes);
-    counter("net_job_ops_total", s.job_ops);
-    obs::Sample active;
-    active.name = "net_connections_active";
-    active.value = static_cast<double>(s.connections_active);
-    active.kind = obs::SampleKind::kGauge;
-    out.push_back(std::move(active));
-  });
+  obs::Registry& m = *metrics_;
+  accepted_ = &m.counter("net_connections_accepted_total");
+  active_ = &m.gauge("net_connections_active");
+  conn_rejected_ = &m.counter("net_connections_rejected_total");
+  idle_closed_ = &m.counter("net_connections_idle_closed_total");
+  frames_in_ = &m.counter("net_frames_in_total");
+  frames_out_ = &m.counter("net_frames_out_total");
+  pings_ = &m.counter("net_pings_total");
+  submitted_ = &m.counter("net_requests_submitted_total");
+  protocol_errors_ = &m.counter("net_protocol_errors_total");
+  responses_dropped_ = &m.counter("net_responses_dropped_total");
+  stats_scrapes_ = &m.counter("net_stats_scrapes_total");
+  job_ops_ = &m.counter("net_job_ops_total");
+  response_bytes_ = &m.histogram("net_response_bytes", {}, 0.0, 262144.0, 128);
 }
 
-Server::~Server() {
-  stop();
-  // Blocks until any in-flight gather() is done with the lambda above, so
-  // the captured `this` cannot be used past this line.
-  metrics_->remove_collector(metrics_collector_);
-}
+Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
   std::lock_guard<std::mutex> lock(lifecycle_mutex_);
@@ -209,18 +189,18 @@ void Server::stop() {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections_accepted = accepted_.load(std::memory_order_relaxed);
-  s.connections_active = active_.load(std::memory_order_relaxed);
-  s.connections_rejected = conn_rejected_.load(std::memory_order_relaxed);
-  s.connections_idle_closed = idle_closed_.load(std::memory_order_relaxed);
-  s.frames_in = frames_in_.load(std::memory_order_relaxed);
-  s.frames_out = frames_out_.load(std::memory_order_relaxed);
-  s.pings = pings_.load(std::memory_order_relaxed);
-  s.requests_submitted = submitted_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.responses_dropped = responses_dropped_.load(std::memory_order_relaxed);
-  s.stats_scrapes = stats_scrapes_.load(std::memory_order_relaxed);
-  s.job_ops = job_ops_.load(std::memory_order_relaxed);
+  s.connections_accepted = accepted_->value();
+  s.connections_active = static_cast<std::uint64_t>(active_->value());
+  s.connections_rejected = conn_rejected_->value();
+  s.connections_idle_closed = idle_closed_->value();
+  s.frames_in = frames_in_->value();
+  s.frames_out = frames_out_->value();
+  s.pings = pings_->value();
+  s.requests_submitted = submitted_->value();
+  s.protocol_errors = protocol_errors_->value();
+  s.responses_dropped = responses_dropped_->value();
+  s.stats_scrapes = stats_scrapes_->value();
+  s.job_ops = job_ops_->value();
   return s;
 }
 
@@ -305,7 +285,7 @@ void Server::run_loop() {
   for (auto& [id, conn] : conns_) {
     (void)id;
     poller_->remove(conn->fd.get());
-    active_.fetch_sub(1, std::memory_order_relaxed);
+    active_->add(-1);
   }
   conns_.clear();
 }
@@ -350,7 +330,7 @@ void Server::sweep_idle() {
     }
   }
   for (std::uint64_t id : idle_ids) {
-    idle_closed_.fetch_add(1, std::memory_order_relaxed);
+    idle_closed_->inc();
     close_conn(id);
   }
 }
@@ -367,7 +347,7 @@ void Server::accept_new() {
     ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
     if (conns_.size() >= static_cast<std::size_t>(config_.max_connections)) {
-      conn_rejected_.fetch_add(1, std::memory_order_relaxed);
+      conn_rejected_->inc();
       const std::vector<std::uint8_t> bytes = serialize_frame(
           make_error(0, Op::kPing, WireStatus::kRejected, "connection limit reached"));
       // Best effort — the socket is fresh, so the buffer almost always takes
@@ -386,8 +366,8 @@ void Server::accept_new() {
       continue;  // ~Conn closes cfd
     }
     conns_.emplace(id, std::move(conn));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_.fetch_add(1, std::memory_order_relaxed);
+    accepted_->inc();
+    active_->add(1);
   }
 }
 
@@ -409,7 +389,7 @@ void Server::drain_completions() {
     response_bytes_->observe(static_cast<double>(resp_size));
     auto it = conns_.find(d.conn_id);
     if (it == conns_.end()) {
-      responses_dropped_.fetch_add(1, std::memory_order_relaxed);
+      responses_dropped_->inc();
       // Close the root anyway — the work happened even if nobody is
       // listening for the answer.
       obs::record_span_as(d.trace_id, d.trace_root, 0, obs::Stage::kRequest,
@@ -457,14 +437,14 @@ bool Server::handle_readable(Conn* conn) {
     const ParseResult pr = conn->parser.next(&frame);
     if (pr == ParseResult::kNeedMore) return true;
     if (pr == ParseResult::kFrame) {
-      frames_in_.fetch_add(1, std::memory_order_relaxed);
+      frames_in_->inc();
       if (!handle_frame(conn, std::move(frame))) return false;
       if (conn->stop_reading) return true;  // error frame queued; drop the rest
       continue;
     }
     // Sticky parse failure: answer with a typed error frame, stop reading,
     // and close once the frame has flushed.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    protocol_errors_->inc();
     const WireStatus status =
         pr == ParseResult::kBadVersion ? WireStatus::kVersionSkew : WireStatus::kMalformed;
     const char* why = pr == ParseResult::kBadMagic     ? "bad magic"
@@ -482,7 +462,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
   // Responses echo the request's version so a v1 client keeps decoding a
   // v2 server (the protocol grows additively, see frame.hpp).
   if (frame.type != FrameType::kRequest) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    protocol_errors_->inc();
     conn->stop_reading = true;
     conn->closing = true;
     poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
@@ -500,7 +480,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
   const std::uint64_t parse_end = tracing ? obs::now_ns() : 0;
 
   if (parsed == WireStatus::kOk && frame.op == Op::kPing) {
-    pings_.fetch_add(1, std::memory_order_relaxed);
+    pings_->inc();
     Frame pong;
     pong.version = frame.version;
     pong.type = FrameType::kResponse;
@@ -514,7 +494,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
     if (frame.version < 2) {
       // Op 6 does not exist in v1 — inside that version the frame is
       // malformed, and a malformed frame poisons the stream (§3/§10).
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_->inc();
       conn->stop_reading = true;
       conn->closing = true;
       poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
@@ -525,7 +505,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
     }
     // Admin scrape: rendered by the loop thread, never queued behind
     // service work (the whole point is visibility under overload).
-    stats_scrapes_.fetch_add(1, std::memory_order_relaxed);
+    stats_scrapes_->inc();
     std::string text;
     switch (static_cast<StatsFormat>(frame.payload[0])) {
       case StatsFormat::kPrometheus: text = metrics_->render_prometheus(); break;
@@ -541,7 +521,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
     if (frame.version < 3) {
       // Ops 7..10 do not exist before v3 — inside those versions the frame
       // is malformed, and a malformed frame poisons the stream.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_->inc();
       conn->stop_reading = true;
       conn->closing = true;
       poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
@@ -551,7 +531,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
       err.version = frame.version;
       return queue_frame(conn, err);
     }
-    job_ops_.fetch_add(1, std::memory_order_relaxed);
+    job_ops_->inc();
     if (!config_.jobs) {
       Frame err = make_error(frame.request_id, frame.op, WireStatus::kInternal,
                              "job subsystem not enabled");
@@ -569,7 +549,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
       jobs::DesignJobSpec spec;
       const WireStatus ps = parse_job_submit(frame, &requested_id, &spec);
       if (ps != WireStatus::kOk) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_->inc();
         const bool fatal = ps == WireStatus::kMalformed;
         if (fatal) {
           conn->stop_reading = true;
@@ -591,7 +571,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
     } else {
       std::uint64_t job_id = 0;
       if (parse_job_id_request(frame, &job_id) != WireStatus::kOk) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_->inc();
         conn->stop_reading = true;
         conn->closing = true;
         poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
@@ -624,7 +604,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
   }
 
   if (parsed != WireStatus::kOk) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    protocol_errors_->inc();
     const bool fatal = parsed == WireStatus::kMalformed;  // framing no longer trusted
     if (fatal) {
       conn->stop_reading = true;
@@ -667,7 +647,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
 
   ++conn->inflight;
   ++inflight_total_;
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->inc();
   {
     std::lock_guard<std::mutex> cb_lock(cb_mutex_);
     ++callbacks_outstanding_;
@@ -699,7 +679,7 @@ bool Server::queue_frame(Conn* conn, const Frame& frame) {
 }
 
 bool Server::queue_bytes(Conn* conn, std::vector<std::uint8_t> bytes) {
-  frames_out_.fetch_add(1, std::memory_order_relaxed);
+  frames_out_->inc();
   conn->out.push_back(std::move(bytes));
   conn->last_active = Clock::now();
   return flush(conn);
@@ -745,7 +725,7 @@ void Server::close_conn(std::uint64_t id) {
   poller_->remove(it->second->fd.get());
   conns_.erase(it);  // ~Conn closes the fd; pending completions for this id
                      // land in responses_dropped
-  active_.fetch_sub(1, std::memory_order_relaxed);
+  active_->add(-1);
 }
 
 }  // namespace dnj::net

@@ -92,7 +92,10 @@ struct ServerConfig {
   jobs::JobManager* jobs = nullptr;
 };
 
-/// Point-in-time counters (all monotonic except connections_active).
+/// Point-in-time view over the server's registry instruments (all
+/// monotonic except connections_active). The instruments live in the
+/// service's registry, so a Server created later for the same service
+/// continues the counts.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
@@ -192,27 +195,22 @@ class Server {
   std::condition_variable cb_cv_;
   std::uint64_t callbacks_outstanding_ = 0;
 
-  // Stats (atomics: stats() reads from any thread).
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> active_{0};
-  std::atomic<std::uint64_t> conn_rejected_{0};
-  std::atomic<std::uint64_t> idle_closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> pings_{0};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> responses_dropped_{0};
-  std::atomic<std::uint64_t> stats_scrapes_{0};
-  std::atomic<std::uint64_t> job_ops_{0};
-
-  // Metrics plane: the server publishes into the service's registry — one
-  // scrape answers for both layers. The collector snapshots the atomics
-  // above; the histogram tracks response frame sizes. Removed/owned so the
-  // captured `this` can never dangle past the destructor.
+  // The net_* instruments, in the service's registry: the only store of
+  // these counts (stats() and every scrape read them; see ServerStats).
   std::shared_ptr<obs::Registry> metrics_;
+  obs::Counter* accepted_ = nullptr;
+  obs::Gauge* active_ = nullptr;
+  obs::Counter* conn_rejected_ = nullptr;
+  obs::Counter* idle_closed_ = nullptr;
+  obs::Counter* frames_in_ = nullptr;
+  obs::Counter* frames_out_ = nullptr;
+  obs::Counter* pings_ = nullptr;
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* protocol_errors_ = nullptr;
+  obs::Counter* responses_dropped_ = nullptr;
+  obs::Counter* stats_scrapes_ = nullptr;
+  obs::Counter* job_ops_ = nullptr;
   obs::HistogramHandle* response_bytes_ = nullptr;
-  std::uint64_t metrics_collector_ = 0;
 };
 
 }  // namespace dnj::net

@@ -4,8 +4,9 @@
 ///
 /// A Registry owns typed instruments (Counter / Gauge / HistogramHandle)
 /// registered by name + labels, plus removable *collector* callbacks for
-/// subsystems that keep their counters elsewhere (the serve layer's
-/// merged WorkerStats, the net server's loop-thread atomics). gather()
+/// values that another structure owns (the serve layer's result/table
+/// caches and submission queue). Instruments are the store: a subsystem
+/// counts into them and reads its own stats back from them. gather()
 /// combines both into one deterministic sample list, which the two
 /// exporters (Prometheus text, JSON) render for the wire `stats` op,
 /// api::Service::metrics_text(), and the C ABI.
@@ -72,23 +73,6 @@ class HistogramHandle {
     hist_.add(v);
     sum_ += v;
     if (v > max_) max_ = v;
-  }
-
-  /// Merges a compatible histogram (same lo/hi/bins). Geometry mismatch
-  /// throws std::invalid_argument and leaves this handle unchanged.
-  /// Merged-in sum/max are bin-center estimates — stats::Histogram keeps
-  /// counts, not values — while directly observed samples stay exact.
-  void merge_from(const stats::Histogram& other) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    hist_.merge(other);  // throws on geometry mismatch before any mutation
-    for (int b = 0; b < other.bins(); ++b) {
-      const std::uint64_t n = other.count(b);
-      if (n == 0) continue;
-      sum_ += static_cast<double>(n) * other.bin_center(b);
-      const double right = other.lo() + (other.hi() - other.lo()) *
-                                            (b + 1) / other.bins();
-      if (right > max_) max_ = right;
-    }
   }
 
   stats::Histogram snapshot() const {

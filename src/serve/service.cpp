@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -31,18 +30,13 @@ std::uint64_t to_trace_ns(Clock::time_point tp) {
           .count());
 }
 
-}  // namespace
-
-LatencySummary summarize(const stats::Histogram& h, double exact_max_us) {
-  LatencySummary s;
-  s.count = h.total();
-  if (s.count == 0) return s;
-  s.p50_us = h.quantile(0.50);
-  s.p95_us = h.quantile(0.95);
-  s.p99_us = h.quantile(0.99);
-  s.max_us = exact_max_us;
-  return s;
+/// The quantiles the registry's summary expansion renders for `h`, read
+/// through the same calls, plus its exact max.
+LatencySummary summarize(const obs::HistogramHandle& h) {
+  return {h.count(), h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), h.max()};
 }
+
+}  // namespace
 
 /// One queued request: the request itself, its completion (a promise OR a
 /// callback — never both), and everything the worker needs without
@@ -70,45 +64,9 @@ struct TranscodeService::Job {
   bool trace_owned = false;
 };
 
-/// Per-worker accounting. Each worker mutates only its own instance, under
-/// its own mutex (uncontended in steady state — stats() is the only other
-/// reader), which keeps the hot path lock-cheap and the whole structure
-/// TSan-clean.
-struct TranscodeService::WorkerStats {
-  /// Per-tenant slice of this worker's counters, keyed by tenant name.
-  /// std::map so stats() merges in sorted order for free.
-  struct TenantCounters {
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t table_hits = 0;
-    std::uint64_t table_misses = 0;
-    jpeg::pipeline::CodecContext::ReuseCounters ctx;
-    stats::Histogram service_time = make_tenant_latency_histogram();
-    double service_max_us = 0.0;
-  };
-
-  std::mutex mutex;
-  stats::Histogram queue_wait = make_latency_histogram();
-  stats::Histogram service_time = make_latency_histogram();
-  stats::Histogram total = make_latency_histogram();
-  double queue_wait_max_us = 0.0;
-  double service_time_max_us = 0.0;
-  double total_max_us = 0.0;
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t per_kind[kNumRequestKinds] = {0, 0, 0, 0, 0};
-  std::uint64_t batches = 0;
-  std::uint64_t batched_requests = 0;
-  std::uint64_t max_batch = 0;
-  jpeg::pipeline::CodecContext::ReuseCounters ctx_deltas;
-  std::map<std::string, TenantCounters> tenants;
-};
-
 TranscodeService::TranscodeService(ServiceConfig config)
     : config_(std::move(config)),
+      metrics_(std::make_shared<obs::Registry>()),
       result_cache_(config_.cache_capacity, config_.cache_max_bytes,
                     config_.tenant_quota_bytes),
       table_cache_(config_.table_cache_capacity) {
@@ -116,21 +74,31 @@ TranscodeService::TranscodeService(ServiceConfig config)
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.max_batch = std::max(1, config_.max_batch);
   if (!config_.registry) config_.registry = std::make_shared<TableRegistry>();
-  if (!config_.metrics) config_.metrics = std::make_shared<obs::Registry>();
-  // The submission counters ARE registry instruments (stats() reads them
-  // back), so the exporters and ServiceStats share one source of truth.
-  submitted_ = &config_.metrics->counter("serve_requests_submitted_total");
-  rejected_ = &config_.metrics->counter("serve_requests_rejected_total");
-  refused_shutdown_ =
-      &config_.metrics->counter("serve_requests_refused_shutdown_total");
-  submit_errors_ = &config_.metrics->counter("serve_submit_errors_total");
+  obs::Registry& m = *metrics_;
+  submitted_ = &m.counter("serve_requests_submitted_total");
+  rejected_ = &m.counter("serve_requests_rejected_total");
+  refused_shutdown_ = &m.counter("serve_requests_refused_shutdown_total");
+  submit_errors_ = &m.counter("serve_submit_errors_total");
+  completed_ = &m.counter("serve_requests_completed_total");
+  errors_ = &m.counter("serve_requests_errors_total");
+  for (int k = 0; k < kNumRequestKinds; ++k)
+    per_kind_[k] = &m.counter("serve_requests_by_kind_total",
+                              {{"kind", kind_name(static_cast<RequestKind>(k))}});
+  batches_ = &m.counter("serve_batches_total");
+  batched_requests_ = &m.counter("serve_batched_requests_total");
+  ctx_ = {&m.counter("serve_ctx_huffman_builds_total"),
+          &m.counter("serve_ctx_reciprocal_builds_total"),
+          &m.counter("serve_ctx_quality_table_builds_total"),
+          &m.counter("serve_ctx_decoder_builds_total")};
+  queue_wait_ = &m.histogram("serve_queue_wait_us", {}, kLatencyLoUs, kLatencyHiUs,
+                             kLatencyBins);
+  service_time_ = &m.histogram("serve_service_time_us", {}, kLatencyLoUs,
+                               kLatencyHiUs, kLatencyBins);
+  total_ = &m.histogram("serve_total_us", {}, kLatencyLoUs, kLatencyHiUs, kLatencyBins);
   deepn_tables_digest_ =
       digest_table(config_.deepn_chroma, digest_table(config_.deepn_luma));
 
   queue_ = std::make_unique<runtime::MpmcQueue<Job>>(config_.queue_capacity);
-  worker_stats_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w)
-    worker_stats_.push_back(std::make_unique<WorkerStats>());
 
   // A private pool, not ThreadPool::global(): pumps occupy their worker for
   // the service's whole lifetime, which would starve the shared pool's
@@ -138,19 +106,18 @@ TranscodeService::TranscodeService(ServiceConfig config)
   // workers as pumps every worker runs exactly one pump, and the pool
   // destructor's drain guarantee is what shutdown() leans on.
   workers_ = std::make_unique<runtime::ThreadPool>(static_cast<unsigned>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w)
-    workers_->submit([this, w] { pump(w); });
+  for (int w = 0; w < config_.workers; ++w) workers_->submit([this] { pump(); });
 
-  // Registered last: the collector snapshots stats(), which needs every
-  // member above. remove_collector in the destructor blocks until any
-  // in-flight gather() returns, so the captured `this` can never dangle
-  // even when the registry shared_ptr outlives this service.
-  metrics_collector_ = config_.metrics->add_collector(
+  // Registered last: the collector reads the caches and the queue.
+  // remove_collector in the destructor blocks until any in-flight gather()
+  // returns, so the captured `this` can never dangle even when the
+  // registry shared_ptr outlives this service.
+  metrics_collector_ = metrics_->add_collector(
       [this](std::vector<obs::Sample>& out) { collect_metrics(out); });
 }
 
 TranscodeService::~TranscodeService() {
-  config_.metrics->remove_collector(metrics_collector_);
+  metrics_->remove_collector(metrics_collector_);
   shutdown();
 }
 
@@ -206,7 +173,11 @@ void TranscodeService::submit_job(Job job) {
     if (!job.req.tenant.empty()) {
       job.tenant = config_.registry->find(job.req.tenant);
       if (!job.tenant) {
+        // No worker ever sees it: it counts as a processed deepn error
+        // here, so sum(per_kind) == completed + errors still holds.
         submit_errors_->inc();
+        errors_->inc();
+        per_kind_[static_cast<int>(RequestKind::kDeepnEncode)]->inc();
         refuse(std::move(job), Status::kError,
                "unknown tenant: " + job.req.tenant);
         return;
@@ -257,8 +228,7 @@ void TranscodeService::refuse(Job&& job, Status status, std::string why) {
   fulfill(std::move(job), std::move(r));
 }
 
-void TranscodeService::pump(int worker_id) {
-  WorkerStats& ws = *worker_stats_[static_cast<std::size_t>(worker_id)];
+void TranscodeService::pump() {
   std::vector<Job> batch;
   Job first;
   while (queue_->pop(first)) {
@@ -273,23 +243,46 @@ void TranscodeService::pump(int worker_id) {
           },
           static_cast<std::size_t>(config_.max_batch) - 1, batch);
     }
-    process_batch(batch, ws);
+    process_batch(batch);
   }
 }
 
-void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws) {
+TranscodeService::TenantInstruments& TranscodeService::tenant_instruments(
+    const std::string& name) {
+  std::lock_guard<std::mutex> lock(tenants_mutex_);
+  auto it = tenants_.find(name);
+  if (it != tenants_.end()) return it->second;
+  obs::Registry& m = *metrics_;
+  const obs::Labels l = {{"tenant", name}};
+  TenantInstruments t;
+  t.requests = &m.counter("serve_tenant_requests_total", l);
+  t.completed = &m.counter("serve_tenant_completed_total", l);
+  t.errors = &m.counter("serve_tenant_errors_total", l);
+  t.cache_hits = &m.counter("serve_tenant_cache_hits_total", l);
+  t.table_hits = &m.counter("serve_tenant_table_cache_hits_total", l);
+  t.table_misses = &m.counter("serve_tenant_table_cache_misses_total", l);
+  t.ctx = {&m.counter("serve_tenant_ctx_huffman_builds_total", l),
+           &m.counter("serve_tenant_ctx_reciprocal_builds_total", l),
+           &m.counter("serve_tenant_ctx_quality_table_builds_total", l),
+           &m.counter("serve_tenant_ctx_decoder_builds_total", l)};
+  t.service_time = &m.histogram("serve_tenant_service_time_us", l, kLatencyLoUs,
+                                kLatencyHiUs, kTenantLatencyBins);
+  return tenants_.emplace(name, t).first->second;
+}
+
+void TranscodeService::process_batch(std::vector<Job>& batch) {
   // Stats-ordering contract: by the time a future is fulfilled, its batch
   // and its own lifecycle counters/latencies are visible to stats(). Hence
   // batch-level counters go in at assembly, per-request counters right
-  // before each set_value. Context-warmth deltas are only knowable after
-  // the batch ran; they settle when the batch finishes (final once
-  // shutdown() returned). The per-request lock is uncontended in steady
-  // state — stats() is the only other party that ever takes it.
-  {
-    std::lock_guard<std::mutex> lock(ws.mutex);
-    ++ws.batches;
-    if (batch.size() > 1) ws.batched_requests += batch.size();
-    ws.max_batch = std::max<std::uint64_t>(ws.max_batch, batch.size());
+  // before each fulfill. Context-warmth deltas are only knowable after the
+  // batch ran; they settle when the batch finishes (final once shutdown()
+  // returned).
+  batches_->inc();
+  if (batch.size() > 1) batched_requests_->inc(batch.size());
+  std::uint64_t seen = max_batch_.load(std::memory_order_relaxed);
+  while (seen < batch.size() &&
+         !max_batch_.compare_exchange_weak(seen, batch.size(),
+                                           std::memory_order_relaxed)) {
   }
 
   // The pump thread's context persists across batches; counters are read
@@ -297,6 +290,7 @@ void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws) {
   const jpeg::pipeline::CodecContext::ReuseCounters before =
       jpeg::pipeline::thread_codec_context().reuse_counters();
 
+  TenantInstruments* head_tenant = nullptr;
   for (Job& job : batch) {
     const Clock::time_point picked = Clock::now();
     // Install the job's trace for this thread: codec-internal spans attach
@@ -335,55 +329,38 @@ void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws) {
     resp.batch_size = static_cast<int>(batch.size());
     resp.queue_us = us_between(job.enqueue, picked);
     resp.service_us = us_between(picked, done);
-    {
-      std::lock_guard<std::mutex> lock(ws.mutex);
-      const double total_us = us_between(job.enqueue, done);
-      ws.queue_wait.add(resp.queue_us);
-      ws.service_time.add(resp.service_us);
-      ws.total.add(total_us);
-      ws.queue_wait_max_us = std::max(ws.queue_wait_max_us, resp.queue_us);
-      ws.service_time_max_us = std::max(ws.service_time_max_us, resp.service_us);
-      ws.total_max_us = std::max(ws.total_max_us, total_us);
-      ++ws.per_kind[static_cast<int>(job.req.kind)];
-      if (resp.status == Status::kOk) ++ws.completed; else ++ws.errors;
-      if (resp.cache_hit) ++ws.cache_hits;
-      if (job.tenant) {
-        WorkerStats::TenantCounters& tc = ws.tenants[job.tenant->name];
-        ++tc.requests;
-        if (resp.status == Status::kOk) ++tc.completed; else ++tc.errors;
-        if (resp.cache_hit) ++tc.cache_hits;
-        if (info.table_lookup) ++(info.table_hit ? tc.table_hits : tc.table_misses);
-        tc.service_time.add(resp.service_us);
-        tc.service_max_us = std::max(tc.service_max_us, resp.service_us);
-      }
+    const bool ok = resp.status == Status::kOk;
+    queue_wait_->observe(resp.queue_us);
+    service_time_->observe(resp.service_us);
+    total_->observe(us_between(job.enqueue, done));
+    per_kind_[static_cast<int>(job.req.kind)]->inc();
+    (ok ? completed_ : errors_)->inc();
+    if (job.tenant) {
+      TenantInstruments& t = tenant_instruments(job.tenant->name);
+      if (&job == &batch.front()) head_tenant = &t;
+      t.requests->inc();
+      (ok ? t.completed : t.errors)->inc();
+      if (resp.cache_hit) t.cache_hits->inc();
+      if (info.table_lookup) (info.table_hit ? t.table_hits : t.table_misses)->inc();
+      t.service_time->observe(resp.service_us);
     }
     fulfill(std::move(job), std::move(resp));
   }
 
   const jpeg::pipeline::CodecContext::ReuseCounters after =
       jpeg::pipeline::thread_codec_context().reuse_counters();
-  jpeg::pipeline::CodecContext::ReuseCounters delta;
-  delta.huffman_builds = after.huffman_builds - before.huffman_builds;
-  delta.reciprocal_builds = after.reciprocal_builds - before.reciprocal_builds;
-  delta.quality_table_builds = after.quality_table_builds - before.quality_table_builds;
-  delta.huffman_decoder_builds =
-      after.huffman_decoder_builds - before.huffman_decoder_builds;
-  std::lock_guard<std::mutex> lock(ws.mutex);
-  ws.ctx_deltas.huffman_builds += delta.huffman_builds;
-  ws.ctx_deltas.reciprocal_builds += delta.reciprocal_builds;
-  ws.ctx_deltas.quality_table_builds += delta.quality_table_builds;
-  ws.ctx_deltas.huffman_decoder_builds += delta.huffman_decoder_builds;
+  auto add_delta = [&before, &after](const CtxCounters& c) {
+    c.huffman->inc(after.huffman_builds - before.huffman_builds);
+    c.reciprocal->inc(after.reciprocal_builds - before.reciprocal_builds);
+    c.quality_table->inc(after.quality_table_builds - before.quality_table_builds);
+    c.decoder->inc(after.huffman_decoder_builds - before.huffman_decoder_builds);
+  };
+  add_delta(ctx_);
   // Context rebuilds are measurable only per batch; a batch is digest-pure,
   // so attributing its delta to the head request's tenant is exact whenever
   // the batch is single-tenant and the head's cache hits hide no rebuild —
   // close enough for a warmth signal, and documented as batch-granular.
-  if (!batch.empty() && batch[0].tenant) {
-    WorkerStats::TenantCounters& tc = ws.tenants[batch[0].tenant->name];
-    tc.ctx.huffman_builds += delta.huffman_builds;
-    tc.ctx.reciprocal_builds += delta.reciprocal_builds;
-    tc.ctx.quality_table_builds += delta.quality_table_builds;
-    tc.ctx.huffman_decoder_builds += delta.huffman_decoder_builds;
-  }
+  if (head_tenant) add_delta(head_tenant->ctx);
 }
 
 namespace {
@@ -542,10 +519,11 @@ Response TranscodeService::execute(const Request& req) {
 ServiceStats TranscodeService::stats() const {
   ServiceStats s;
   s.submitted = submitted_->value();
+  s.completed = completed_->value();
+  s.errors = errors_->value();
   s.rejected = rejected_->value();
   s.refused_shutdown = refused_shutdown_->value();
-  s.queue_capacity = queue_->capacity();
-  s.queue_high_water = queue_->high_water();
+  for (int k = 0; k < kNumRequestKinds; ++k) s.per_kind[k] = per_kind_[k]->value();
   s.cache_hits = result_cache_.hits();
   s.cache_misses = result_cache_.misses();
   s.cache_evictions = result_cache_.evictions();
@@ -553,138 +531,60 @@ ServiceStats TranscodeService::stats() const {
   s.cache_bytes = result_cache_.bytes();
   s.table_cache_hits = table_cache_.hits();
   s.table_cache_misses = table_cache_.misses();
+  s.batches = batches_->value();
+  s.batched_requests = batched_requests_->value();
+  s.max_batch = max_batch_.load(std::memory_order_relaxed);
+  s.queue_capacity = queue_->capacity();
+  s.queue_high_water = queue_->high_water();
+  s.ctx_huffman_builds = ctx_.huffman->value();
+  s.ctx_reciprocal_builds = ctx_.reciprocal->value();
+  s.ctx_quality_table_builds = ctx_.quality_table->value();
+  s.ctx_decoder_builds = ctx_.decoder->value();
+  s.queue_wait = summarize(*queue_wait_);
+  s.service_time = summarize(*service_time_);
+  s.total = summarize(*total_);
 
-  // Unknown-tenant refusals error at submission — no worker ever sees
-  // them. Folding them into both errors and the kind tally preserves the
-  // invariant sum(per_kind) == completed + errors.
-  const std::uint64_t submit_errors = submit_errors_->value();
-  s.errors += submit_errors;
-  s.per_kind[static_cast<int>(RequestKind::kDeepnEncode)] += submit_errors;
-
-  stats::Histogram queue_wait = make_latency_histogram();
-  stats::Histogram service_time = make_latency_histogram();
-  stats::Histogram total = make_latency_histogram();
-  double queue_wait_max = 0.0, service_time_max = 0.0, total_max = 0.0;
-  struct TenantMerge {
-    TenantStats out;
-    stats::Histogram service_time = make_tenant_latency_histogram();
-    double service_max_us = 0.0;
-  };
-  std::map<std::string, TenantMerge> tenants;
-  for (const std::unique_ptr<WorkerStats>& wsp : worker_stats_) {
-    WorkerStats& ws = *wsp;
-    std::lock_guard<std::mutex> lock(ws.mutex);
-    s.completed += ws.completed;
-    s.errors += ws.errors;
-    for (int k = 0; k < kNumRequestKinds; ++k) s.per_kind[k] += ws.per_kind[k];
-    s.batches += ws.batches;
-    s.batched_requests += ws.batched_requests;
-    s.max_batch = std::max(s.max_batch, ws.max_batch);
-    s.ctx_huffman_builds += ws.ctx_deltas.huffman_builds;
-    s.ctx_reciprocal_builds += ws.ctx_deltas.reciprocal_builds;
-    s.ctx_quality_table_builds += ws.ctx_deltas.quality_table_builds;
-    s.ctx_decoder_builds += ws.ctx_deltas.huffman_decoder_builds;
-    queue_wait.merge(ws.queue_wait);
-    service_time.merge(ws.service_time);
-    total.merge(ws.total);
-    queue_wait_max = std::max(queue_wait_max, ws.queue_wait_max_us);
-    service_time_max = std::max(service_time_max, ws.service_time_max_us);
-    total_max = std::max(total_max, ws.total_max_us);
-    for (const auto& [name, tc] : ws.tenants) {
-      TenantMerge& m = tenants[name];
-      m.out.requests += tc.requests;
-      m.out.completed += tc.completed;
-      m.out.errors += tc.errors;
-      m.out.cache_hits += tc.cache_hits;
-      m.out.table_cache_hits += tc.table_hits;
-      m.out.table_cache_misses += tc.table_misses;
-      m.out.ctx_huffman_builds += tc.ctx.huffman_builds;
-      m.out.ctx_reciprocal_builds += tc.ctx.reciprocal_builds;
-      m.out.ctx_quality_table_builds += tc.ctx.quality_table_builds;
-      m.out.ctx_decoder_builds += tc.ctx.huffman_decoder_builds;
-      m.service_time.merge(tc.service_time);
-      m.service_max_us = std::max(m.service_max_us, tc.service_max_us);
-    }
-  }
-  s.queue_wait = summarize(queue_wait, queue_wait_max);
-  s.service_time = summarize(service_time, service_time_max);
-  s.total = summarize(total, total_max);
-  s.tenants.reserve(tenants.size());
-  for (auto& [name, m] : tenants) {
-    m.out.name = name;
-    m.out.service_time = summarize(m.service_time, m.service_max_us);
-    s.tenants.push_back(std::move(m.out));
+  std::lock_guard<std::mutex> lock(tenants_mutex_);
+  s.tenants.reserve(tenants_.size());
+  for (const auto& [name, t] : tenants_) {
+    TenantStats ts;
+    ts.name = name;
+    ts.requests = t.requests->value();
+    ts.completed = t.completed->value();
+    ts.errors = t.errors->value();
+    ts.cache_hits = t.cache_hits->value();
+    ts.table_cache_hits = t.table_hits->value();
+    ts.table_cache_misses = t.table_misses->value();
+    ts.ctx_huffman_builds = t.ctx.huffman->value();
+    ts.ctx_reciprocal_builds = t.ctx.reciprocal->value();
+    ts.ctx_quality_table_builds = t.ctx.quality_table->value();
+    ts.ctx_decoder_builds = t.ctx.decoder->value();
+    ts.service_time = summarize(*t.service_time);
+    s.tenants.push_back(std::move(ts));
   }
   return s;
 }
 
 void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
-  // One snapshot per gather(): everything ServiceStats knows, as samples.
-  // The submission counters are owned registry instruments and are NOT
-  // re-emitted here. stats() touches worker mutexes and cache counters
-  // only — never this registry — so running under the registry mutex
-  // cannot deadlock.
-  const ServiceStats s = stats();
-  auto counter = [&out](const char* name, std::uint64_t v, obs::Labels labels = {}) {
-    out.push_back({name, std::move(labels), static_cast<double>(v),
-                   obs::SampleKind::kCounter});
+  // Only the values the caches, the queue and max_batch_ own; every other
+  // serve_* series is a registry instrument. Nothing here touches the
+  // registry, so running under its mutex cannot deadlock.
+  auto emit = [&out](const char* name, std::uint64_t v, obs::SampleKind kind) {
+    out.push_back({name, {}, static_cast<double>(v), kind});
   };
-  auto gauge = [&out](const char* name, double v, obs::Labels labels = {}) {
-    out.push_back({name, std::move(labels), v, obs::SampleKind::kGauge});
-  };
-  auto latency = [&](const std::string& prefix, const LatencySummary& l,
-                     obs::Labels labels = obs::Labels{}) {
-    auto with = [&labels](const char* key, const char* value) {
-      obs::Labels ls = labels;
-      ls.emplace_back(key, value);
-      return ls;
-    };
-    counter((prefix + "_count").c_str(), l.count, labels);
-    gauge((prefix + "_us").c_str(), l.p50_us, with("quantile", "0.5"));
-    gauge((prefix + "_us").c_str(), l.p95_us, with("quantile", "0.95"));
-    gauge((prefix + "_us").c_str(), l.p99_us, with("quantile", "0.99"));
-    gauge((prefix + "_us_max").c_str(), l.max_us, labels);
-  };
-
-  counter("serve_requests_completed_total", s.completed);
-  counter("serve_requests_errors_total", s.errors);
-  for (int k = 0; k < kNumRequestKinds; ++k)
-    counter("serve_requests_by_kind_total", s.per_kind[k],
-            {{"kind", kind_name(static_cast<RequestKind>(k))}});
-  counter("serve_result_cache_hits_total", s.cache_hits);
-  counter("serve_result_cache_misses_total", s.cache_misses);
-  counter("serve_result_cache_evictions_total", s.cache_evictions);
-  counter("serve_result_cache_quota_evictions_total", s.cache_quota_evictions);
-  gauge("serve_result_cache_bytes", static_cast<double>(s.cache_bytes));
-  counter("serve_table_cache_hits_total", s.table_cache_hits);
-  counter("serve_table_cache_misses_total", s.table_cache_misses);
-  counter("serve_batches_total", s.batches);
-  counter("serve_batched_requests_total", s.batched_requests);
-  gauge("serve_max_batch", static_cast<double>(s.max_batch));
-  gauge("serve_queue_capacity", static_cast<double>(s.queue_capacity));
-  gauge("serve_queue_high_water", static_cast<double>(s.queue_high_water));
-  counter("serve_ctx_huffman_builds_total", s.ctx_huffman_builds);
-  counter("serve_ctx_reciprocal_builds_total", s.ctx_reciprocal_builds);
-  counter("serve_ctx_quality_table_builds_total", s.ctx_quality_table_builds);
-  counter("serve_ctx_decoder_builds_total", s.ctx_decoder_builds);
-  latency("serve_queue_wait", s.queue_wait);
-  latency("serve_service_time", s.service_time);
-  latency("serve_total", s.total);
-  for (const TenantStats& t : s.tenants) {
-    const obs::Labels tl = {{"tenant", t.name}};
-    counter("serve_tenant_requests_total", t.requests, tl);
-    counter("serve_tenant_completed_total", t.completed, tl);
-    counter("serve_tenant_errors_total", t.errors, tl);
-    counter("serve_tenant_cache_hits_total", t.cache_hits, tl);
-    counter("serve_tenant_table_cache_hits_total", t.table_cache_hits, tl);
-    counter("serve_tenant_table_cache_misses_total", t.table_cache_misses, tl);
-    counter("serve_tenant_ctx_huffman_builds_total", t.ctx_huffman_builds, tl);
-    counter("serve_tenant_ctx_reciprocal_builds_total", t.ctx_reciprocal_builds, tl);
-    counter("serve_tenant_ctx_quality_table_builds_total",
-            t.ctx_quality_table_builds, tl);
-    counter("serve_tenant_ctx_decoder_builds_total", t.ctx_decoder_builds, tl);
-    latency("serve_tenant_service_time", t.service_time, tl);
-  }
+  constexpr obs::SampleKind kCounter = obs::SampleKind::kCounter;
+  constexpr obs::SampleKind kGauge = obs::SampleKind::kGauge;
+  emit("serve_result_cache_hits_total", result_cache_.hits(), kCounter);
+  emit("serve_result_cache_misses_total", result_cache_.misses(), kCounter);
+  emit("serve_result_cache_evictions_total", result_cache_.evictions(), kCounter);
+  emit("serve_result_cache_quota_evictions_total", result_cache_.quota_evictions(),
+       kCounter);
+  emit("serve_result_cache_bytes", result_cache_.bytes(), kGauge);
+  emit("serve_table_cache_hits_total", table_cache_.hits(), kCounter);
+  emit("serve_table_cache_misses_total", table_cache_.misses(), kCounter);
+  emit("serve_max_batch", max_batch_.load(std::memory_order_relaxed), kGauge);
+  emit("serve_queue_capacity", queue_->capacity(), kGauge);
+  emit("serve_queue_high_water", queue_->high_water(), kGauge);
 }
 
 }  // namespace dnj::serve

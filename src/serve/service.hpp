@@ -7,7 +7,7 @@
 //               │   kBlock  — wait for space           │ CodecContext (warm arenas,
 //               │   kReject — typed kRejected          ├─▶ result LRU (byte + per-tenant quota accounting)
 //               ▼            response, immediately     ├─▶ table LRU  (DeepN pair, IJG-scaled per quality)
-//        future<Response>                              └─▶ per-worker latency histograms ──merge──▶ ServiceStats
+//        future<Response>                              └─▶ obs::Registry instruments ──view──▶ ServiceStats
 //
 // Scheduling: one bounded FIFO shared by every worker. After popping a
 // request, a pump drains immediately-available *compatible* followers
@@ -45,8 +45,10 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -119,14 +121,6 @@ struct ServiceConfig {
   /// Layer::forward is stateful, so the service serializes inference
   /// through an internal mutex. Null = kInfer requests fail with kError.
   nn::Layer* model = nullptr;
-
-  /// Metrics registry this service publishes into. Null = the service
-  /// creates a private one (reachable via metrics_registry()). Share one
-  /// registry across services/servers to scrape one unified plane. The
-  /// submission counters live *in* the registry (stats() reads them back),
-  /// and a collector snapshot of everything else is registered here — so
-  /// metrics_text() and ServiceStats can never disagree.
-  std::shared_ptr<obs::Registry> metrics;
 };
 
 class TranscodeService {
@@ -165,12 +159,13 @@ class TranscodeService {
   /// workers. Idempotent and safe to race with submit().
   void shutdown();
 
-  /// Point-in-time counters + merged latency quantiles. Callable at any
-  /// time, including after shutdown. Ordering contract: once a request's
-  /// future has been fulfilled, that request is reflected in the lifecycle
-  /// counters, per-kind counts, batch counters, and latency histograms.
-  /// Only the context-warmth deltas settle at batch granularity (final
-  /// once shutdown() returned).
+  /// Point-in-time view over the metrics registry's instruments (plus the
+  /// caches' and queue's own counters). Callable at any time, including
+  /// after shutdown. Ordering contract: once a request's future has been
+  /// fulfilled, that request is reflected in the lifecycle counters,
+  /// per-kind counts, batch counters, and latency histograms. Only the
+  /// context-warmth deltas settle at batch granularity (final once
+  /// shutdown() returned).
   ServiceStats stats() const;
 
   const ServiceConfig& config() const { return config_; }
@@ -179,23 +174,43 @@ class TranscodeService {
   /// ServiceConfig, or the service-private one when none was given.
   const std::shared_ptr<TableRegistry>& registry() const { return config_.registry; }
 
-  /// The metrics registry this service publishes into — the one from
-  /// ServiceConfig, or the service-private one when none was given.
+  /// The metrics registry this service owns and counts into. A net::Server
+  /// or jobs::JobManager fronting the service publishes into it too, so
+  /// one scrape answers for the whole stack.
   const std::shared_ptr<obs::Registry>& metrics_registry() const {
-    return config_.metrics;
+    return metrics_;
   }
 
  private:
   struct Job;
-  struct WorkerStats;
+  /// One counter per jpeg::pipeline::CodecContext::ReuseCounters field.
+  struct CtxCounters {
+    obs::Counter* huffman = nullptr;
+    obs::Counter* reciprocal = nullptr;
+    obs::Counter* quality_table = nullptr;
+    obs::Counter* decoder = nullptr;
+  };
+  /// One named tenant's instruments (label `tenant`), registered the
+  /// first time a worker processes one of the tenant's requests.
+  struct TenantInstruments {
+    obs::Counter* requests = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* errors = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* table_hits = nullptr;
+    obs::Counter* table_misses = nullptr;
+    CtxCounters ctx;
+    obs::HistogramHandle* service_time = nullptr;
+  };
   /// What run() observed that the Response does not carry (table-LRU
   /// traffic, attributed per request/tenant by process_batch).
   struct RunInfo {
     bool table_lookup = false;
     bool table_hit = false;
   };
-  void pump(int worker_id);
-  void process_batch(std::vector<Job>& batch, WorkerStats& ws);
+  void pump();
+  void process_batch(std::vector<Job>& batch);
+  TenantInstruments& tenant_instruments(const std::string& name);
   /// `info` null = the execute() reference path, which bypasses the table cache.
   Response run(const Request& req, const TenantEntry* tenant, RunInfo* info);
   jpeg::EncoderConfig deepn_config(int quality, const TenantEntry* tenant,
@@ -206,9 +221,9 @@ class TranscodeService {
   void refuse(Job&& job, Status status, std::string why);
 
   ServiceConfig config_;
+  std::shared_ptr<obs::Registry> metrics_;
   std::uint64_t deepn_tables_digest_ = 0;
   std::unique_ptr<runtime::MpmcQueue<Job>> queue_;
-  std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
   std::unique_ptr<runtime::ThreadPool> workers_;  ///< null once shut down
   std::mutex shutdown_mutex_;
 
@@ -222,16 +237,28 @@ class TranscodeService {
 
   std::mutex model_mutex_;
 
-  // Submission-side counters (completion-side ones live in WorkerStats).
-  // They are obs::Registry instruments — the registry is the single source
-  // of truth; stats() reads the same counters the exporters render.
-  // Stable addresses for the registry's lifetime, cached here so the hot
-  // path is one relaxed fetch_add with no registry lookups.
+  // The serve_* instruments: the only store of these counts (stats() and
+  // every scrape read them). Stable addresses for the registry's lifetime,
+  // cached here so the hot path is relaxed fetch_adds and one histogram
+  // lock each, with no registry lookups.
   obs::Counter* submitted_ = nullptr;
   obs::Counter* rejected_ = nullptr;
   obs::Counter* refused_shutdown_ = nullptr;
   obs::Counter* submit_errors_ = nullptr;  ///< unknown-tenant refusals
-  std::uint64_t metrics_collector_ = 0;    ///< removed before members die
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* errors_ = nullptr;
+  obs::Counter* per_kind_[kNumRequestKinds] = {};
+  obs::Counter* batches_ = nullptr;
+  obs::Counter* batched_requests_ = nullptr;
+  CtxCounters ctx_;
+  obs::HistogramHandle* queue_wait_ = nullptr;
+  obs::HistogramHandle* service_time_ = nullptr;
+  obs::HistogramHandle* total_ = nullptr;
+  std::atomic<std::uint64_t> max_batch_{0};
+  /// Sorted by name, so stats() lists tenants in order for free.
+  mutable std::mutex tenants_mutex_;
+  std::map<std::string, TenantInstruments> tenants_;
+  std::uint64_t metrics_collector_ = 0;  ///< removed before members die
 };
 
 }  // namespace dnj::serve

@@ -1,11 +1,12 @@
 // Latency/throughput accounting for the serving layer.
 //
-// Workers record microsecond latencies into per-worker stats::Histogram
-// instances (no cross-worker sharing on the hot path); stats() merges the
-// per-worker histograms in worker-index order — integer counts make the
-// merge order-free, the fixed order just keeps the code obviously
-// deterministic — and extracts p50/p95/p99 with the histogram's
-// interpolated streaming quantiles.
+// ServiceStats is a read-only view: every field is read back from the
+// service's obs::Registry instruments (workers bump Counters and observe
+// HistogramHandles as they go) or from the structure that owns the value
+// (the result/table LRUs, the submission queue). The same instruments
+// are what a scrape renders, so stats() and the exporters cannot
+// disagree. Quantiles are the histograms' interpolated streaming
+// quantiles.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "serve/request.hpp"
-#include "stats/histogram.hpp"
 
 namespace dnj::serve {
 
@@ -25,19 +25,12 @@ inline constexpr double kLatencyLoUs = 0.0;
 inline constexpr double kLatencyHiUs = 250000.0;
 inline constexpr int kLatencyBins = 25000;
 
-inline stats::Histogram make_latency_histogram() {
-  return stats::Histogram(kLatencyLoUs, kLatencyHiUs, kLatencyBins);
-}
-
 // Per-tenant histograms are 10x coarser (100 us resolution over the same
-// range): every worker keeps one per named tenant, so the service-wide
+// range): the service keeps one per named tenant, so the service-wide
 // geometry (~200 KB a histogram) would turn "thousands of tenants" into
-// gigabytes of bins. 100 us still resolves serving-scale quantiles.
+// hundreds of megabytes of bins. 100 us still resolves serving-scale
+// quantiles.
 inline constexpr int kTenantLatencyBins = 2500;
-
-inline stats::Histogram make_tenant_latency_histogram() {
-  return stats::Histogram(kLatencyLoUs, kLatencyHiUs, kTenantLatencyBins);
-}
 
 /// Quantile summary of one latency distribution, in microseconds.
 struct LatencySummary {
@@ -48,11 +41,10 @@ struct LatencySummary {
   double max_us = 0.0;  ///< exact running max, not histogram-quantized
 };
 
-LatencySummary summarize(const stats::Histogram& h, double exact_max_us);
-
 /// Counters and latency quantiles for one named registry tenant (requests
 /// carrying an empty tenant name count only in the service-wide totals).
-/// Merged across workers by stats(), sorted by name.
+/// Listed by stats() once a worker has processed one of the tenant's
+/// requests, sorted by name.
 struct TenantStats {
   std::string name;
   std::uint64_t requests = 0;   ///< processed = completed + errors
@@ -106,7 +98,7 @@ struct ServiceStats {
   std::uint64_t steals = 0;
 
   // Context warmth (jpeg::pipeline::CodecContext::ReuseCounters deltas,
-  // summed over workers): rebuilds of cached per-context state. Fewer
+  // summed over batches): rebuilds of cached per-context state. Fewer
   // rebuilds per request = micro-batching doing its job.
   std::uint64_t ctx_huffman_builds = 0;
   std::uint64_t ctx_reciprocal_builds = 0;

@@ -1,7 +1,8 @@
 // Fixed-range histogram used to characterize the per-band DCT coefficient
 // distributions (the paper builds "individual histograms" per frequency band
-// in Algorithm 1 before extracting sigma) and, since the serving layer, the
-// per-worker latency distributions behind the p50/p95/p99 SLO accounting.
+// in Algorithm 1 before extracting sigma) and, inside obs::HistogramHandle,
+// the latency distributions behind the serving layer's p50/p95/p99 SLO
+// accounting.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +42,8 @@ class Histogram {
 
   /// Adds every count of `other` into this histogram. Both must share the
   /// exact same geometry (lo, hi, bins) — throws std::invalid_argument
-  /// otherwise. Counts are integers, so merging per-worker histograms in
-  /// any order yields the same result as one combined histogram; the
-  /// serving layer merges per-worker latency histograms in worker order to
-  /// keep snapshots deterministic by construction anyway.
+  /// otherwise. Counts are integers, so merging partial histograms in any
+  /// order yields the same result as one combined histogram.
   void merge(const Histogram& other);
 
  private:

@@ -19,11 +19,17 @@
 // connections at once: one thread per client pipelines bursts of mixed ops
 // into a small reject-policy queue; every reply id is answered exactly
 // once, with the synchronous payload or a typed rejection.
+//
+// StatsViewsEqualTheGatheredRegistry pins the one-store rule of the
+// metrics plane: every ServiceStats, TenantStats and ServerStats field
+// equals its same-named sample in the registry a scrape renders.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -418,13 +424,18 @@ TEST(NetServer, GracefulDrainFlushesSubmittedWork) {
   Client client = ts.connect();
   std::string error;
 
-  // Pipeline a slow request and three fast ones, give the event loop time
-  // to read and submit all four, then stop the server mid-flight.
+  // Pipeline a slow request and three fast ones, wait (bounded) until the
+  // event loop has read and submitted all four — only submitted requests
+  // are owed a reply — then stop the server mid-flight.
   const int kInFlight = 4;
   ASSERT_NE(client.send_request(encode_request(big_image(), 75), &error), 0u);
   for (int i = 0; i < kInFlight - 1; ++i)
     ASSERT_NE(client.send_request(encode_request(test_image(), 60 + i), &error), 0u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ts.server.stats().requests_submitted < kInFlight &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(ts.server.stats().requests_submitted, static_cast<std::uint64_t>(kInFlight));
 
   ts.server.stop();  // blocks until drained
 
@@ -502,6 +513,165 @@ TEST(NetServer, StatsScrapeExposesBothLayersOverTheWire) {
   std::string again;
   ASSERT_TRUE(client.scrape(StatsFormat::kPrometheus, &again, &error)) << error;
   EXPECT_NE(again.find("net_stats_scrapes_total"), std::string::npos);
+}
+
+/// The sample gathered under exactly (name, labels); a missing one fails
+/// the test and reads as -1, which no field can equal.
+double sample_value(const std::vector<obs::Sample>& samples, const std::string& name,
+                    const obs::Labels& labels = {}) {
+  for (const obs::Sample& s : samples)
+    if (s.name == name && s.labels == labels) return s.value;
+  ADD_FAILURE() << "no sample " << name << " with " << labels.size() << " labels";
+  return -1.0;
+}
+
+/// A latency summary must equal its histogram's rendered series:
+/// <prefix>_us{quantile}, <prefix>_us_count and <prefix>_us_max, with a
+/// <prefix>_us_sum alongside.
+void expect_latency_agrees(const std::vector<obs::Sample>& samples, const std::string& prefix,
+                           const serve::LatencySummary& l, const obs::Labels& labels = {}) {
+  SCOPED_TRACE(prefix);
+  const std::string name = prefix + "_us";
+  auto quantile = [&](const char* q) {
+    obs::Labels ql = labels;
+    ql.emplace_back("quantile", q);
+    return sample_value(samples, name, ql);
+  };
+  EXPECT_EQ(static_cast<double>(l.count), sample_value(samples, name + "_count", labels));
+  EXPECT_EQ(l.p50_us, quantile("0.5"));
+  EXPECT_EQ(l.p95_us, quantile("0.95"));
+  EXPECT_EQ(l.p99_us, quantile("0.99"));
+  EXPECT_EQ(l.max_us, sample_value(samples, name + "_max", labels));
+  EXPECT_EQ(l.count > 0, sample_value(samples, name + "_sum", labels) > 0.0);
+}
+
+TEST(NetServer, StatsViewsEqualTheGatheredRegistry) {
+  auto tables = std::make_shared<serve::TableRegistry>();
+  jpeg::EncoderConfig base;
+  base.use_custom_tables = true;
+  base.subsampling = jpeg::Subsampling::k444;
+  base.luma_table = jpeg::QuantTable::uniform(20);
+  base.chroma_table = jpeg::QuantTable::uniform(24);
+  tables->put("alpha", base);
+  base.luma_table = jpeg::QuantTable::uniform(36);
+  tables->put("beta", base);
+
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.registry = tables;
+  TestServer ts(std::move(cfg));
+  Client client = ts.connect();
+  std::string error;
+
+  auto deepn = [](const char* tenant, int quality) {
+    serve::Request req;
+    req.kind = serve::RequestKind::kDeepnEncode;
+    req.image = test_image();
+    req.quality = quality;
+    req.tenant = tenant;
+    return req;
+  };
+  // A slow request holds the only worker while eight compatible ones queue
+  // behind it: they drain as one multi-request batch, and the repeats hit
+  // the result cache.
+  std::vector<std::future<serve::Response>> futures;
+  futures.push_back(ts.service.submit(encode_request(big_image(), 77)));
+  for (int i = 0; i < 8; ++i) futures.push_back(ts.service.submit(encode_request(test_image(), 80)));
+  for (int i = 0; i < 3; ++i) futures.push_back(ts.service.submit(deepn("alpha", 50)));
+  futures.push_back(ts.service.submit(deepn("beta", 50)));
+  futures.push_back(ts.service.submit(deepn("", 50)));
+  const serve::Response unknown = ts.service.submit(deepn("nobody", 50)).get();
+  EXPECT_EQ(unknown.status, serve::Status::kError);
+  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::Status::kOk);
+
+  WireReply reply;
+  ASSERT_TRUE(client.call(encode_request(test_image(), 80), &reply, &error)) << error;
+  ASSERT_EQ(reply.status, WireStatus::kOk);
+  std::string text;
+  ASSERT_TRUE(client.scrape(StatsFormat::kPrometheus, &text, &error)) << error;
+
+  // Quiesce both layers (context deltas settle at batch end), then read
+  // both views of the one store.
+  ts.server.stop();
+  ts.service.shutdown();
+  const serve::ServiceStats st = ts.service.stats();
+  const ServerStats ns = ts.server.stats();
+  const std::vector<obs::Sample> g = ts.service.metrics_registry()->gather();
+
+  // The workload reached every path it was built for.
+  EXPECT_GT(st.batched_requests, 0u);
+  EXPECT_GT(st.cache_hits, 0u);
+  EXPECT_EQ(st.errors, 1u);
+  EXPECT_EQ(ns.stats_scrapes, 1u);
+  ASSERT_EQ(st.tenants.size(), 2u);
+  EXPECT_EQ(st.tenants[0].name, "alpha");
+  EXPECT_EQ(st.tenants[1].name, "beta");
+
+  auto expect_field = [&g](std::uint64_t field, const char* name, obs::Labels labels = {}) {
+    EXPECT_EQ(static_cast<double>(field), sample_value(g, name, labels)) << name;
+  };
+  expect_field(st.submitted, "serve_requests_submitted_total");
+  expect_field(st.completed, "serve_requests_completed_total");
+  expect_field(st.errors, "serve_requests_errors_total");
+  expect_field(st.rejected, "serve_requests_rejected_total");
+  expect_field(st.refused_shutdown, "serve_requests_refused_shutdown_total");
+  for (int k = 0; k < serve::kNumRequestKinds; ++k)
+    expect_field(st.per_kind[k], "serve_requests_by_kind_total",
+                 {{"kind", serve::kind_name(static_cast<serve::RequestKind>(k))}});
+  expect_field(st.cache_hits, "serve_result_cache_hits_total");
+  expect_field(st.cache_misses, "serve_result_cache_misses_total");
+  expect_field(st.cache_evictions, "serve_result_cache_evictions_total");
+  expect_field(st.cache_quota_evictions, "serve_result_cache_quota_evictions_total");
+  expect_field(st.cache_bytes, "serve_result_cache_bytes");
+  expect_field(st.table_cache_hits, "serve_table_cache_hits_total");
+  expect_field(st.table_cache_misses, "serve_table_cache_misses_total");
+  expect_field(st.batches, "serve_batches_total");
+  expect_field(st.batched_requests, "serve_batched_requests_total");
+  expect_field(st.max_batch, "serve_max_batch");
+  expect_field(st.queue_capacity, "serve_queue_capacity");
+  expect_field(st.queue_high_water, "serve_queue_high_water");
+  EXPECT_EQ(st.steals, 0u);  // no series: one shared queue never steals
+  expect_field(st.ctx_huffman_builds, "serve_ctx_huffman_builds_total");
+  expect_field(st.ctx_reciprocal_builds, "serve_ctx_reciprocal_builds_total");
+  expect_field(st.ctx_quality_table_builds, "serve_ctx_quality_table_builds_total");
+  expect_field(st.ctx_decoder_builds, "serve_ctx_decoder_builds_total");
+  expect_latency_agrees(g, "serve_queue_wait", st.queue_wait);
+  expect_latency_agrees(g, "serve_service_time", st.service_time);
+  expect_latency_agrees(g, "serve_total", st.total);
+
+  std::size_t tenant_series = 0;
+  for (const obs::Sample& s : g) tenant_series += s.name == "serve_tenant_requests_total";
+  EXPECT_EQ(tenant_series, st.tenants.size());
+  for (const serve::TenantStats& t : st.tenants) {
+    SCOPED_TRACE(t.name);
+    const obs::Labels tl = {{"tenant", t.name}};
+    expect_field(t.requests, "serve_tenant_requests_total", tl);
+    expect_field(t.completed, "serve_tenant_completed_total", tl);
+    expect_field(t.errors, "serve_tenant_errors_total", tl);
+    expect_field(t.cache_hits, "serve_tenant_cache_hits_total", tl);
+    expect_field(t.table_cache_hits, "serve_tenant_table_cache_hits_total", tl);
+    expect_field(t.table_cache_misses, "serve_tenant_table_cache_misses_total", tl);
+    expect_field(t.ctx_huffman_builds, "serve_tenant_ctx_huffman_builds_total", tl);
+    expect_field(t.ctx_reciprocal_builds, "serve_tenant_ctx_reciprocal_builds_total", tl);
+    expect_field(t.ctx_quality_table_builds, "serve_tenant_ctx_quality_table_builds_total",
+                 tl);
+    expect_field(t.ctx_decoder_builds, "serve_tenant_ctx_decoder_builds_total", tl);
+    expect_latency_agrees(g, "serve_tenant_service_time", t.service_time, tl);
+  }
+
+  expect_field(ns.connections_accepted, "net_connections_accepted_total");
+  expect_field(ns.connections_active, "net_connections_active");
+  expect_field(ns.connections_rejected, "net_connections_rejected_total");
+  expect_field(ns.connections_idle_closed, "net_connections_idle_closed_total");
+  expect_field(ns.frames_in, "net_frames_in_total");
+  expect_field(ns.frames_out, "net_frames_out_total");
+  expect_field(ns.pings, "net_pings_total");
+  expect_field(ns.requests_submitted, "net_requests_submitted_total");
+  expect_field(ns.protocol_errors, "net_protocol_errors_total");
+  expect_field(ns.responses_dropped, "net_responses_dropped_total");
+  expect_field(ns.stats_scrapes, "net_stats_scrapes_total");
+  expect_field(ns.job_ops, "net_job_ops_total");
 }
 
 TEST(NetServer, TracedRequestYieldsNestedSpansAcrossAllLayers) {

@@ -1,6 +1,6 @@
 // Observability-plane tests (src/obs): tracer sampling and span parenting,
 // ring-buffer wrap, the metrics registry's instrument identity and
-// collector lifecycle, HistogramHandle edge cases under merge, and the
+// collector lifecycle, HistogramHandle edge cases, and the
 // exact Prometheus text rules (label escaping, TYPE lines) foreign
 // scrapers depend on.
 //
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,29 +185,6 @@ TEST(HistogramHandle, SingleBucketKeepsExactSumAndMax) {
   const double q = h.quantile(0.5);
   EXPECT_GE(q, 0.0);
   EXPECT_LE(q, 10.0);
-}
-
-TEST(HistogramHandle, MismatchedGeometryMergeThrowsAndMutatesNothing) {
-  HistogramHandle h(0.0, 100.0, 10);
-  h.observe(50.0);
-  stats::Histogram other(0.0, 100.0, 20);  // different bin count
-  other.add(10.0);
-  EXPECT_THROW(h.merge_from(other), std::invalid_argument);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 50.0);
-  EXPECT_DOUBLE_EQ(h.max(), 50.0);
-}
-
-TEST(HistogramHandle, CompatibleMergeAddsCountsAndEstimates) {
-  HistogramHandle h(0.0, 100.0, 10);
-  h.observe(5.0);
-  stats::Histogram other(0.0, 100.0, 10);
-  other.add(95.0);
-  other.add(95.0);
-  h.merge_from(other);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0 + 2 * 95.0);  // bin centre of [90,100) is 95
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);           // right edge estimate
 }
 
 TEST(Registry, SameNameAndLabelsResolveToTheSameInstrument) {
