@@ -121,13 +121,16 @@ void BM_Decode(benchmark::State& state) {
 }
 BENCHMARK(BM_Decode)->Arg(32)->Arg(128);
 
-// The serial entropy stage alone: single-thread decode_coefficients (header
-// parse plus Huffman decode of every block, no pixel stages) of q90 4:2:0
-// streams, 224x224 or 1920x1080, one per synthetic class (the mix the
-// offline_1080p benchmark pool is drawn from), at Huffman lookup width
+// The entropy stage alone: decode_coefficients (header parse plus Huffman
+// decode of every block, no pixel stages) of q90 4:2:0 streams without
+// restart markers, 224x224 or 1920x1080, one per synthetic class (the mix
+// the offline_1080p benchmark pool is drawn from), at Huffman lookup width
 // `lut_bits` — 0 is the bit-by-bit reference walk, 8 the former default,
-// and the third row the current default. Mblk/s counts 8x8 blocks (all
-// components) per second.
+// and the third row the current default. threads:1 is the serial decode;
+// threads:0 lets a scan of two or more chunks (jpeg/pipeline/
+// scan_chunks.hpp) take the split decoder on the pool, so the 1080p rows
+// read the split against the serial rows. Mblk/s counts 8x8 blocks (all
+// components) per wall-clock second.
 void BM_HuffmanDecode(benchmark::State& state) {
   const bool hd = state.range(0) == 1080;
   data::GeneratorConfig g;
@@ -148,8 +151,10 @@ void BM_HuffmanDecode(benchmark::State& state) {
   const int saved = jpeg::entropy_lut_bits();
   jpeg::set_entropy_lut_bits(static_cast<int>(state.range(1)));
   jpeg::pipeline::CodecContext ctx;  // decoder tables built at this width
+  const int threads = static_cast<int>(state.range(2));
   for (auto _ : state)
-    for (const auto& s : streams) benchmark::DoNotOptimize(jpeg::decode_coefficients(s, ctx, 1));
+    for (const auto& s : streams)
+      benchmark::DoNotOptimize(jpeg::decode_coefficients(s, ctx, threads));
   jpeg::set_entropy_lut_bits(saved);
   const double blocks = ((g.width + 15) / 16) * ((g.height + 15) / 16) * 6.0 *
                         static_cast<double>(streams.size());
@@ -158,8 +163,9 @@ void BM_HuffmanDecode(benchmark::State& state) {
   state.counters["bytes/image"] = bytes / static_cast<double>(streams.size());
 }
 BENCHMARK(BM_HuffmanDecode)
-    ->ArgNames({"size", "lut_bits"})
-    ->ArgsProduct({{224, 1080}, {0, 8, jpeg::entropy_lut_bits()}});
+    ->ArgNames({"size", "lut_bits", "threads"})
+    ->ArgsProduct({{224, 1080}, {0, 8, jpeg::entropy_lut_bits()}, {1, 0}})
+    ->UseRealTime();
 
 void BM_EncodeOptimizedHuffman(benchmark::State& state) {
   const image::Image img = test_image(128, 1);

@@ -10,9 +10,32 @@
 
 namespace dnj::jpeg {
 
+namespace detail {
+
+// One unaligned big-endian 8-byte load.
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t w;
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_memcpy(&w, p, 8);
+  return __builtin_bswap64(w);
+#else
+  w = 0;
+  for (int i = 0; i < 8; ++i) w = (w << 8) | p[i];
+  return w;
+#endif
+}
+
+}  // namespace detail
+
 class BitWriter {
  public:
-  explicit BitWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  /// kStuffed writes a finished entropy-coded segment (every 0xFF data
+  /// byte followed by 0x00). kRaw writes the bare bits, for a band of a
+  /// scan that put_bytes() later splices, stuffed, into the real stream.
+  enum class Stuffing { kStuffed, kRaw };
+
+  explicit BitWriter(std::vector<std::uint8_t>& out, Stuffing stuffing = Stuffing::kStuffed)
+      : out_(out), stuff_(stuffing == Stuffing::kStuffed) {}
 
   /// Writes the low `count` bits of `bits`, MSB first. count in [0, 32] —
   /// wide enough for a fused Huffman-code + magnitude field (16 + 11 bits
@@ -128,6 +151,22 @@ class BitWriter {
   /// Flushes, then writes a two-byte marker (0xFF, code) unstuffed.
   void put_marker(std::uint8_t code);
 
+  /// Appends `n` whole bytes of bits at the current bit position: the
+  /// same stream as n put_bits(byte, 8) calls, shifted eight bytes at a
+  /// time. This is the splice that joins separately emitted bands.
+  void put_bytes(const std::uint8_t* p, std::size_t n);
+
+  /// The bits after the last whole byte, low `count` bits of `bits`.
+  struct Tail {
+    std::uint32_t bits = 0;
+    int count = 0;  // < 8
+  };
+
+  /// Drains every whole byte into the output, unpadded, and returns the
+  /// < 8 bits left over; the writer then starts a fresh byte. A kRaw band
+  /// ends this way, so the splice can continue it mid-byte.
+  Tail take_tail();
+
  private:
   static constexpr std::size_t kBufSize = 4096;
   // BlockCursor headroom: one block emits at most 27 DC + 63 * 26 AC bits
@@ -158,9 +197,11 @@ class BitWriter {
 #endif
   }
 
-  void spill();  // stuff-copies buf_[0..buf_len_) onto out_ in one pass
+  void drain_whole_bytes();  // accumulator -> staging until < 8 bits remain
+  void spill();  // copies buf_[0..buf_len_) onto out_ in one pass, stuffed unless kRaw
 
   std::vector<std::uint8_t>& out_;
+  bool stuff_;
   std::array<std::uint8_t, kBufSize> buf_;  // unstuffed staged bytes
   std::size_t buf_len_ = 0;
   std::uint64_t acc_ = 0;
@@ -204,7 +245,7 @@ class BitReader {
     /// consumes bits. Precondition: bits() < 64.
     void refill() {
       if (end_ - p_ >= 8) {
-        const std::uint64_t w = load_be64(p_);
+        const std::uint64_t w = detail::load_be64(p_);
         const std::uint64_t inv = ~w;  // a 0xFF byte of w is a zero byte of inv
         if (((inv - 0x0101010101010101ull) & w & 0x8080808080808080ull) == 0) {
           window_ |= w >> bits_;
@@ -217,6 +258,7 @@ class BitReader {
       p_ = f.p;
       window_ = f.window;
       bits_ = f.bits;
+      skipped_ += f.skipped;
     }
 
     /// The buffered bits, left-aligned at bit 63 (see the class comment
@@ -236,12 +278,20 @@ class BitReader {
       return v;
     }
 
+    /// Data bits consumed since the reader's first byte; equals the
+    /// reader's bit_position() after commit().
+    std::uint64_t bit_position() const {
+      return 8 * (static_cast<std::uint64_t>(p_ - r_.data_) - skipped_) -
+             static_cast<std::uint64_t>(bits_);
+    }
+
     /// Writes the window back: position() and buffered_bits() of the
     /// reader are then exact (the restart over-run check relies on them).
     void commit() {
       r_.acc_ = bits_ != 0 ? window_ >> (64 - bits_) : 0;
       r_.bit_count_ = bits_;
       r_.pos_ = static_cast<std::size_t>(p_ - r_.data_);
+      r_.skipped_ = skipped_;
     }
 
     /// Re-reads the reader's state after direct use between commit() and
@@ -251,6 +301,7 @@ class BitReader {
       end_ = r_.data_ + r_.size_;
       bits_ = r_.bit_count_;
       window_ = bits_ != 0 ? r_.acc_ << (64 - bits_) : 0;
+      skipped_ = r_.skipped_;
     }
 
     BitReader& reader() { return r_; }
@@ -260,29 +311,19 @@ class BitReader {
       const std::uint8_t* p;
       std::uint64_t window;
       int bits;
+      std::size_t skipped;  // stuffing and fill bytes stepped over
     };
     // Out of line and by value, so no cursor member ever has its address
     // taken and the whole cursor stays in registers.
     static Fill refill_bytes(const std::uint8_t* p, const std::uint8_t* end,
                              std::uint64_t window, int bits);
 
-    static std::uint64_t load_be64(const std::uint8_t* p) {
-      std::uint64_t w;
-#if defined(__GNUC__) || defined(__clang__)
-      __builtin_memcpy(&w, p, 8);
-      return __builtin_bswap64(w);
-#else
-      w = 0;
-      for (int i = 0; i < 8; ++i) w = (w << 8) | p[i];
-      return w;
-#endif
-    }
-
     BitReader& r_;
     const std::uint8_t* p_;
     const std::uint8_t* end_;
     std::uint64_t window_;
     int bits_;
+    std::size_t skipped_;
   };
 
   /// True when positioned at a marker (0xFF followed by a non-stuffing,
@@ -307,11 +348,22 @@ class BitReader {
   /// Bits buffered but not yet consumed.
   int buffered_bits() const { return bit_count_; }
 
+  /// Data bits consumed since the first byte: stuffing zeros and fill
+  /// bytes do not count, so two readers over the same bytes, started at
+  /// different data-byte boundaries, agree on where a bit lies up to the
+  /// data bytes between their starts. Exact within one entropy-coded
+  /// segment (take_marker steps over bytes it does not count).
+  std::uint64_t bit_position() const {
+    return 8 * static_cast<std::uint64_t>(pos_ - skipped_) -
+           static_cast<std::uint64_t>(bit_count_);
+  }
+
  private:
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
-  std::uint64_t acc_ = 0;  // low bit_count_ bits are buffered
+  std::size_t skipped_ = 0;  // stuffing and fill bytes before pos_
+  std::uint64_t acc_ = 0;    // low bit_count_ bits are buffered
   int bit_count_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -124,88 +126,200 @@ class Parser {
       c.dc = &ctx_.decoder_for(*dc_specs[c.dc_table]);
       c.ac = &ctx_.decoder_for(*ac_specs[c.ac_table]);
     }
-    const int total_mcus = mcus_x * mcus_y;
-    if (info.restart_interval > 0 && total_mcus > info.restart_interval) {
-      decode_scan_segments(num_threads);
-      return;
-    }
-    // No restart marker can legally appear: one straight-line pass.
-    BitReader br(data_ + scan_start, size_ - scan_start);
-    decode_mcu_range(br, 0, total_mcus);
-  }
-
-  /// Decodes MCUs [m0, m1) from `br`, DC predictors starting at zero —
-  /// exactly the state at the start of a scan or after a restart marker.
-  /// One ReadCursor serves the whole range; at lookup width 0 every block
-  /// takes the bit-by-bit reference decode instead.
-  void decode_mcu_range(BitReader& br, int m0, int m1) {
-    bool reference = false;
+    units_per_mcu = 0;
+    for (std::size_t ci = 0; ci < comps.size(); ++ci)
+      for (int by = 0; by < comps[ci].v; ++by)
+        for (int bx = 0; bx < comps[ci].h; ++bx)
+          units[static_cast<std::size_t>(units_per_mcu++)] = {static_cast<int>(ci), bx, by};
+    reference = false;
     for (const FrameComponent& c : comps)
       reference = reference || c.dc->lut_bits() == 0 || c.ac->lut_bits() == 0;
-    if (reference) {
-      for_each_block(m0, m1, [&](const FrameComponent& c, std::int16_t* blk, int& dc_pred) {
-        return decode_block(br, blk, dc_pred, *c.dc, *c.ac);
-      });
+
+    scan = data_ + scan_start;
+    scan_size = size_ - scan_start;
+    total_blocks = blocks;
+    const int total_mcus = mcus_x * mcus_y;
+    if (info.restart_interval > 0 && total_mcus > info.restart_interval) {
+      decode_restart_chunks(num_threads);
       return;
     }
-    BitReader::ReadCursor cur(br);
-    for_each_block(m0, m1, [&](const FrameComponent& c, std::int16_t* blk, int& dc_pred) {
-      return decode_block(cur, blk, dc_pred, *c.dc, *c.ac);
-    });
+    // No restart marker can legally appear.
+    decode_speculative_chunks(pipeline::chunk_count(scan_size, total_blocks), num_threads);
+  }
+
+ private:
+  // Block `unit` of an MCU: its component and offset inside the MCU.
+  struct Unit {
+    int ci = 0, bx = 0, by = 0;
+  };
+
+  // Writes the scan's blocks in order from block t on: block t is unit
+  // t % units_per_mcu of MCU t / units_per_mcu.
+  class PlaneWriter {
+   public:
+    PlaneWriter(const Parser& p, std::size_t t)
+        : p_(p),
+          u_(static_cast<int>(t % static_cast<std::size_t>(p.units_per_mcu))),
+          mx_(static_cast<int>(t / static_cast<std::size_t>(p.units_per_mcu) %
+                               static_cast<std::size_t>(p.mcus_x))),
+          my_(static_cast<int>(t / static_cast<std::size_t>(p.units_per_mcu) /
+                               static_cast<std::size_t>(p.mcus_x))) {}
+
+    /// The next block's place in its component's plane.
+    std::int16_t* next() {
+      const Unit& un = p_.units[static_cast<std::size_t>(u_)];
+      const FrameComponent& c = p_.comps[static_cast<std::size_t>(un.ci)];
+      std::int16_t* blk =
+          c.coeffs + (static_cast<std::size_t>(my_ * c.v + un.by) * c.blocks_x +
+                      static_cast<std::size_t>(mx_ * c.h + un.bx)) * 64;
+      if (++u_ == p_.units_per_mcu) {
+        u_ = 0;
+        if (++mx_ == p_.mcus_x) {
+          mx_ = 0;
+          ++my_;
+        }
+      }
+      return blk;
+    }
+
+   private:
+    const Parser& p_;
+    int u_, mx_, my_;
+  };
+
+  struct Run {
+    std::size_t blocks = 0;  // decoded
+    bool failed = false;     // the block after them did not decode
+  };
+
+  /// Calls f(position, decode, skip_bit) with the three reader operations
+  /// over `rd`: the data bit position, one block's decode, and one bit
+  /// skipped (false at a marker or the end of data). One ReadCursor
+  /// serves the whole call; at lookup width 0 every block takes the
+  /// bit-by-bit reference decode instead.
+  template <class F>
+  void with_reader(BitReader& rd, F&& f) const {
+    if (reference) {
+      f([&] { return rd.bit_position(); },
+        [&](std::int16_t* blk, int& pred, const FrameComponent& c) {
+          return decode_block(rd, blk, pred, *c.dc, *c.ac);
+        },
+        [&] { return rd.get_bits(1) >= 0; });
+      return;
+    }
+    BitReader::ReadCursor cur(rd);
+    f([&] { return cur.bit_position(); },
+      [&](std::int16_t* blk, int& pred, const FrameComponent& c) {
+        return decode_block(cur, blk, pred, *c.dc, *c.ac);
+      },
+      [&] {
+        if (cur.bits() < 1) cur.refill();
+        if (cur.bits() < 1) return false;
+        cur.skip(1);
+        return true;
+      });
     cur.commit();
   }
 
-  /// Calls `decode(component, block, dc_pred)` for every block of MCUs
-  /// [m0, m1) in scan order; fails the decode when it returns false.
-  template <class DecodeBlock>
-  void for_each_block(int m0, int m1, DecodeBlock&& decode) {
-    std::array<int, pipeline::kMaxComponents> dc_pred{};
-    for (int mcu_index = m0; mcu_index < m1; ++mcu_index) {
-      const int my = mcu_index / mcus_x;
-      const int mx = mcu_index % mcus_x;
-      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
-        const FrameComponent& c = comps[ci];
-        for (int by = 0; by < c.v; ++by) {
-          for (int bx = 0; bx < c.h; ++bx) {
-            const int gx = mx * c.h + bx;
-            const int gy = my * c.v + by;
-            std::int16_t* blk =
-                c.coeffs + (static_cast<std::size_t>(gy) * c.blocks_x + gx) * 64;
-            if (!decode(c, blk, dc_pred[ci])) fail("corrupt entropy-coded data");
-          }
+  /// Decodes up to `max_blocks` blocks from `rd`, the first one as unit
+  /// `first_unit` of an MCU, updating the DC predictors `dc`. Before each
+  /// block, stop(k, bit) with the block's index in the run and the
+  /// reader's bit position ends the run when it returns true; dest()
+  /// gives each block's storage, once per block in order. Leaves `rd` at
+  /// the first block not decoded (mid-block if one failed).
+  template <class Stop, class Dest>
+  Run decode_run(BitReader& rd, std::size_t first_unit, std::size_t max_blocks,
+                 std::array<int, pipeline::kMaxComponents>& dc, Stop&& stop, Dest&& dest) const {
+    Run run;
+    std::size_t u = first_unit;
+    with_reader(rd, [&](auto&& position, auto&& decode, auto&&) {
+      for (; run.blocks < max_blocks; ++run.blocks) {
+        if (stop(run.blocks, position())) break;
+        const Unit& un = units[u];
+        if (!decode(dest(), dc[static_cast<std::size_t>(un.ci)],
+                    comps[static_cast<std::size_t>(un.ci)])) {
+          run.failed = true;
+          break;
         }
+        if (++u == static_cast<std::size_t>(units_per_mcu)) u = 0;
       }
-    }
+    });
+    return run;
   }
 
-  /// Restart-interval path: pre-scan the byte stream for the RST markers
-  /// (cheap — stuffing rules make them unambiguous without decoding), then
-  /// decode the segments independently on parallel_for. Every segment
-  /// resets its DC predictors exactly as the serial walk did after
-  /// take_marker, and segments write disjoint block ranges of the shared
-  /// coefficient planes, so the output is bit-identical at every thread
-  /// count. Thrown errors (corrupt segments) propagate via parallel_for's
-  /// first-exception rule.
-  void decode_scan_segments(int num_threads) {
-    const std::uint8_t* scan = data_ + scan_start;
-    const std::size_t scan_size = size_ - scan_start;
-    const int ri = info.restart_interval;
-    const int total_mcus = mcus_x * mcus_y;
-    const int num_segments = (total_mcus + ri - 1) / ri;
+  // A speculative chunk's record of one block: (start bit << 5) |
+  // (first block of a run << 4) | unit in the MCU.
+  static constexpr int kStartShift = 5;
+  static constexpr std::uint64_t kRunStart = 16;
+  static constexpr std::uint64_t kUnitMask = 15;
+
+  /// Scratch blocks a speculative chunk may fill: a block starts at least
+  /// two bits after the one before, so a chunk holds at most four block
+  /// starts per byte, and never more than the frame's blocks.
+  std::size_t speculation_capacity(const pipeline::ScanChunk& chunk) const {
+    return std::min(total_blocks, 4 * (chunk.end - chunk.begin) + 1);
+  }
+
+  /// The speculative decode of a chunk after the first: blocks from the
+  /// chunk's first byte into scratch, as if a block of unit 0 started
+  /// there with DC predictors of zero, up to the first block that starts
+  /// at or past the chunk's end. A guess that is off usually soon decodes
+  /// an impossible block; the decode then starts a new run of guesses
+  /// where that block failed, so a chunk keeps looking for the exact
+  /// block boundaries all through its bytes.
+  void speculate(pipeline::ScanChunk& chunk, std::int16_t* blk, std::uint64_t* record) const {
+    const std::size_t cap = speculation_capacity(chunk);
+    with_reader(chunk.reader, [&](auto&& position, auto&& decode, auto&& skip_bit) {
+      std::size_t k = 0;
+      std::size_t u = 0;
+      std::uint64_t run_start = kRunStart;
+      while (k < cap) {
+        const std::uint64_t bit = position();
+        if (bit >= chunk.data_bits) break;
+        record[k] = bit << kStartShift | run_start | u;
+        const Unit& un = units[u];
+        // `failed` ends up telling whether the last run recorded ended
+        // on a block that did not decode.
+        chunk.failed = !decode(blk + k * 64, chunk.dc[static_cast<std::size_t>(un.ci)],
+                               comps[static_cast<std::size_t>(un.ci)]);
+        if (!chunk.failed) {
+          ++k;
+          if (++u == static_cast<std::size_t>(units_per_mcu)) u = 0;
+          run_start = 0;
+          continue;
+        }
+        // The guess was wrong: the next run starts where this block
+        // failed, one bit on at least, so the records stay increasing.
+        if (position() == bit && !skip_bit()) break;  // a marker or the end of data
+        u = 0;
+        run_start = kRunStart;
+        chunk.dc = {};
+      }
+      chunk.blocks = k;
+    });
+  }
+
+  /// Restart-marked scans. Pre-scan the bytes for the RST markers (cheap:
+  /// stuffing rules make them unambiguous without decoding); each
+  /// segment then decodes exactly from DC predictors of zero, and chunks
+  /// of whole segments run on the pool, writing disjoint block ranges.
+  void decode_restart_chunks(int num_threads) {
+    const std::size_t ri = static_cast<std::size_t>(info.restart_interval);
+    const std::size_t total_mcus = static_cast<std::size_t>(mcus_x) * mcus_y;
+    const std::size_t num_segments = (total_mcus + ri - 1) / ri;
 
     struct Segment {
       std::size_t begin, end;  // byte range within the scan, markers excluded
     };
     std::vector<Segment> segments;
-    segments.reserve(static_cast<std::size_t>(num_segments));
+    segments.reserve(num_segments);
     std::size_t seg_begin = 0;
     std::size_t p = 0;
-    while (static_cast<int>(segments.size()) + 1 < num_segments) {
+    while (segments.size() + 1 < num_segments) {
+      const void* ff = p < scan_size ? std::memchr(scan + p, 0xFF, scan_size - p) : nullptr;
+      if (ff == nullptr) fail("missing restart marker");
+      p = static_cast<std::size_t>(static_cast<const std::uint8_t*>(ff) - scan);
       if (p + 1 >= scan_size) fail("missing restart marker");
-      if (scan[p] != 0xFF) {
-        ++p;
-        continue;
-      }
       const std::uint8_t next = scan[p + 1];
       if (next == 0x00) {  // stuffed data byte
         p += 2;
@@ -229,27 +343,248 @@ class Parser {
     }
     segments.push_back({seg_begin, scan_size});
 
+    std::vector<pipeline::ScanChunk>& chunks = ctx_.decode_chunks;
+    const std::size_t n = std::min(num_segments, pipeline::chunk_count(scan_size, total_blocks));
+    chunks.assign(n, {});
+    for (std::size_t i = 0; i < n; ++i) {
+      chunks[i].first_segment = i * num_segments / n;
+      chunks[i].end_segment = (i + 1) * num_segments / n;
+    }
+    const std::size_t units_u = static_cast<std::size_t>(units_per_mcu);
     runtime::parallel_for(
-        0, segments.size(), 1,
-        [&](std::size_t si) {
-          const Segment& seg = segments[si];
-          BitReader br(scan + seg.begin, seg.end - seg.begin);
-          const int m0 = static_cast<int>(si) * ri;
-          decode_mcu_range(br, m0, std::min(total_mcus, m0 + ri));
-          if (si + 1 < segments.size()) {
-            // The serial reader demanded a restart marker right after the
-            // segment's last MCU; here the marker position is fixed by the
-            // pre-scan, so undelivered payload before it (beyond the <= 7
-            // pad bits of the final byte) means the segment over-ran its
-            // restart interval.
-            const std::size_t unread_bytes = (seg.end - seg.begin) - br.position();
-            if (br.buffered_bits() + 8 * static_cast<int>(unread_bytes) > 7)
-              fail("missing restart marker");
+        0, n, 1,
+        [&](std::size_t i) {
+          pipeline::ScanChunk& chunk = chunks[i];
+          try {
+            for (std::size_t si = chunk.first_segment; si < chunk.end_segment; ++si) {
+              const Segment& seg = segments[si];
+              BitReader br(scan + seg.begin, seg.end - seg.begin);
+              const std::size_t m0 = si * ri;
+              const std::size_t count = (std::min(total_mcus, m0 + ri) - m0) * units_u;
+              std::array<int, pipeline::kMaxComponents> dc{};
+              PlaneWriter out(*this, m0 * units_u);
+              const Run run = decode_run(
+                  br, 0, count, dc, [](std::size_t, std::uint64_t) { return false; },
+                  [&] { return out.next(); });
+              if (run.failed) fail("corrupt entropy-coded data");
+              if (si + 1 < segments.size()) {
+                // The serial reader demanded a restart marker right after
+                // the segment's last MCU; here the marker position is
+                // fixed by the pre-scan, so undelivered payload before it
+                // (beyond the <= 7 pad bits of the final byte) means the
+                // segment over-ran its restart interval.
+                const std::size_t unread_bytes = (seg.end - seg.begin) - br.position();
+                if (br.buffered_bits() + 8 * static_cast<int>(unread_bytes) > 7)
+                  fail("missing restart marker");
+              }
+            }
+          } catch (...) {
+            chunk.error = std::current_exception();
+          }
+        },
+        num_threads);
+    // The first failing chunk in scan order names the error, as the
+    // serial walk would.
+    for (const pipeline::ScanChunk& chunk : chunks)
+      if (chunk.error) std::rethrow_exception(chunk.error);
+  }
+
+  /// Scans without restart markers, cut into `n` chunks (see
+  /// pipeline/scan_chunks.hpp). Speculation needs a second thread: a call
+  /// that cannot fan out, like a one-chunk scan, is the plain serial
+  /// decode, chunk 0 running through the whole scan.
+  void decode_speculative_chunks(std::size_t n, int num_threads) {
+    std::vector<pipeline::ScanChunk>& chunks = ctx_.decode_chunks;
+    chunks.assign(n, {});
+    // Cut at fixed offsets, each moved past a 0xFF so that no stuffed
+    // pair or fill run straddles a cut and every chunk starts on a data
+    // byte boundary.
+    std::size_t used = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      std::size_t cut = i * scan_size / n;
+      while (cut < scan_size && scan[cut - 1] == 0xFF) ++cut;
+      if (cut <= chunks[used].begin || cut >= scan_size) continue;
+      chunks[used].end = cut;
+      chunks[++used].begin = cut;
+    }
+    chunks.resize(used + 1);
+    chunks.back().end = scan_size;
+    n = runtime::usable_threads(num_threads) > 1 ? chunks.size() : 1;
+
+    std::size_t scratch_blocks = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      chunks[i].scratch = scratch_blocks;
+      scratch_blocks += speculation_capacity(chunks[i]);
+    }
+    std::int16_t* const scratch = ctx_.decode_chunk_blocks.reserve(scratch_blocks * 64);
+    std::uint64_t* const starts = ctx_.decode_chunk_starts.reserve(scratch_blocks);
+
+    runtime::parallel_for(
+        0, n, 1,
+        [&](std::size_t i) {
+          pipeline::ScanChunk& chunk = chunks[i];
+          if (n > 1) count_data_bytes(chunk);
+          else chunk.data_bits = std::numeric_limits<std::uint64_t>::max();
+          chunk.reader = BitReader(scan + chunk.begin, scan_size - chunk.begin);
+          if (i > 0) {
+            speculate(chunk, scratch + chunk.scratch * 64, starts + chunk.scratch);
+            return;
+          }
+          PlaneWriter out(*this, 0);
+          const Run run = decode_run(
+              chunk.reader, 0, total_blocks, chunk.dc,
+              [&](std::size_t, std::uint64_t bit) { return bit >= chunk.data_bits; },
+              [&] { return out.next(); });
+          chunk.blocks = run.blocks;
+          chunk.failed = run.failed;
+        },
+        num_threads);
+
+    resolve_chunks(n, scratch, starts);
+
+    // Copy every synced chunk's exact blocks to their place, with its DC
+    // offsets (mod 2^16, as the int16 coefficient store wraps).
+    runtime::parallel_for(
+        1, n, 1,
+        [&](std::size_t i) {
+          const pipeline::ScanChunk& chunk = chunks[i];
+          const std::int16_t* src = scratch + (chunk.scratch + chunk.sync) * 64;
+          PlaneWriter out(*this, chunk.first_block);
+          std::size_t u = chunk.first_block % static_cast<std::size_t>(units_per_mcu);
+          for (std::size_t k = 0; k < chunk.placed; ++k, src += 64) {
+            std::int16_t* dst = out.next();
+            std::memcpy(dst, src, 64 * sizeof(std::int16_t));
+            const auto offset = static_cast<std::uint16_t>(
+                chunk.dc_offset[static_cast<std::size_t>(units[u].ci)]);
+            dst[0] = static_cast<std::int16_t>(
+                static_cast<std::uint16_t>(static_cast<std::uint16_t>(dst[0]) + offset));
+            if (++u == static_cast<std::size_t>(units_per_mcu)) u = 0;
           }
         },
         num_threads);
   }
 
+  /// Data bytes and markers of the chunk's byte range: the bit positions
+  /// a chunk records count data bits only, so the exact decode can map
+  /// them onto its own.
+  void count_data_bytes(pipeline::ScanChunk& chunk) const {
+    std::size_t skipped = 0;
+    const std::uint8_t* p = scan + chunk.begin;
+    const std::uint8_t* const end = scan + chunk.end;
+    while (p < end) {
+      const void* ff = std::memchr(p, 0xFF, static_cast<std::size_t>(end - p));
+      if (ff == nullptr) break;
+      p = static_cast<const std::uint8_t*>(ff);
+      if (p + 1 >= scan + scan_size) break;  // a lone 0xFF ends the data
+      if (p[1] == 0x00) {  // stuffing zero
+        ++skipped;
+        p += 2;
+      } else if (p[1] == 0xFF) {  // fill byte
+        ++skipped;
+        ++p;
+      } else {
+        chunk.marker = true;
+        break;
+      }
+    }
+    chunk.data_bits = 8 * static_cast<std::uint64_t>(chunk.end - chunk.begin - skipped);
+  }
+
+  /// The exact decode, serially, from the end of chunk 0 over the `n`
+  /// chunks decoded: up to each chunk's first recorded block start at the
+  /// same data bit and the same unit of the MCU, and on from that chunk's
+  /// end. Fails exactly where the serial decode fails; a speculative
+  /// failure past the frame's last block, or in a chunk the exact decode
+  /// never syncs with, is no error.
+  void resolve_chunks(std::size_t n, const std::int16_t* scratch, const std::uint64_t* starts) {
+    std::vector<pipeline::ScanChunk>& chunks = ctx_.decode_chunks;
+    const std::size_t units_u = static_cast<std::size_t>(units_per_mcu);
+    // Data bit at which each chunk starts, while no marker (the end of
+    // the data the serial decode can read) lies in front of it.
+    constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t i = 1; i < n; ++i)
+      chunks[i].first_bit = chunks[i - 1].marker || chunks[i - 1].first_bit == kNever
+                                ? kNever
+                                : chunks[i - 1].first_bit + chunks[i - 1].data_bits;
+    const auto base = [&](std::size_t i) { return i < n ? chunks[i].first_bit : kNever; };
+
+    pipeline::ScanChunk& first = chunks[0];
+    std::size_t t = first.blocks;
+    if (first.failed) fail("corrupt entropy-coded data");
+    BitReader rd = first.reader;
+    std::uint64_t origin = 0;  // data bit of rd's first byte
+    std::array<int, pipeline::kMaxComponents> dc = first.dc;
+    std::size_t c = 1;
+    while (t < total_blocks) {
+      // The next chunk the exact decode may sync with: the one whose
+      // range holds its position or lies ahead of it.
+      const std::uint64_t here = origin + rd.bit_position();
+      while (c < n && here >= base(c + 1)) ++c;
+      if (c >= n || base(c) == kNever) {
+        PlaneWriter out(*this, t);
+        const Run run = decode_run(
+            rd, t % units_u, total_blocks - t, dc,
+            [](std::size_t, std::uint64_t) { return false; }, [&] { return out.next(); });
+        if (run.failed) fail("corrupt entropy-coded data");
+        return;
+      }
+      pipeline::ScanChunk& chunk = chunks[c];
+      const std::uint64_t* const records = starts + chunk.scratch;
+      const std::uint64_t* const records_end = records + chunk.blocks;
+      const std::uint64_t* rec = records;
+      bool synced = false;
+      PlaneWriter out(*this, t);
+      const Run run = decode_run(
+          rd, t % units_u, total_blocks - t, dc,
+          [&](std::size_t k, std::uint64_t bit) {
+            const std::uint64_t at = origin + bit;
+            if (at >= base(c + 1)) return true;  // past the chunk: no sync
+            if (at < base(c)) return false;
+            rec = std::lower_bound(rec, records_end, (at - base(c)) << kStartShift);
+            synced = rec != records_end && (*rec >> kStartShift) == at - base(c) &&
+                     (*rec & kUnitMask) == (t + k) % units_u;
+            return synced;
+          },
+          [&] { return out.next(); });
+      if (run.failed) fail("corrupt entropy-coded data");
+      t += run.blocks;
+      if (!synced) {
+        ++c;
+        continue;
+      }
+      // Synced at block j of the chunk: the blocks of j's run from j on
+      // are the exact ones, their DC off by what the run's guessed
+      // predictors (zero at the run's start) missed.
+      const std::size_t j = static_cast<std::size_t>(rec - records);
+      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+        int guessed = 0;
+        for (std::size_t k = j; k > 0 && j - k < units_u && !(records[k] & kRunStart); --k) {
+          if (units[records[k - 1] & kUnitMask].ci == static_cast<int>(ci)) {
+            guessed = scratch[(chunk.scratch + k - 1) * 64];
+            break;
+          }
+        }
+        chunk.dc_offset[ci] = dc[ci] - guessed;
+      }
+      std::size_t run_end = j + 1;
+      while (run_end < chunk.blocks && !(records[run_end] & kRunStart)) ++run_end;
+      chunk.sync = j;
+      chunk.first_block = t;
+      chunk.placed = std::min(run_end - j, total_blocks - t);
+      t += chunk.placed;
+      if (t == total_blocks) return;
+      // The run ended where a block failed to decode; the exact decode
+      // fails there too.
+      if (run_end < chunk.blocks || chunk.failed) fail("corrupt entropy-coded data");
+      rd = chunk.reader;
+      origin = base(c);
+      for (std::size_t ci = 0; ci < comps.size(); ++ci)
+        dc[ci] = static_cast<std::int16_t>(chunk.dc[ci] + chunk.dc_offset[ci]);
+      ++c;
+    }
+  }
+
+ public:
   image::Image reconstruct(int num_threads) {
     // Checked up front, on the calling thread, before any band runs.
     const QuantTable* tables[pipeline::kMaxComponents] = {};
@@ -508,6 +843,14 @@ class Parser {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+
+  // Scan layout, set by decode_scan.
+  std::array<Unit, 12> units{};  // up to 3 components of up to 2x2 blocks
+  int units_per_mcu = 0;
+  bool reference = false;  // a table was built at lookup width 0
+  const std::uint8_t* scan = nullptr;
+  std::size_t scan_size = 0;
+  std::size_t total_blocks = 0;
 };
 
 }  // namespace

@@ -35,13 +35,16 @@ struct JpegInfo {
 /// implicitly from std::vector<uint8_t>; callers holding mapped or foreign
 /// buffers pass {ptr, size} without a copy.
 ///
-/// Streams with restart intervals decode their independent restart segments
-/// on runtime::parallel_for, and the pixel stages (dequantize + IDCT +
-/// untile, then upsample + colour convert) of a frame large enough for two
-/// bands of pipeline::kMinBandBlocks blocks run band by band on it too.
-/// `num_threads` follows the usual knob semantics (0 = DNJ_THREADS /
-/// hardware concurrency, 1 = serial), exactly like encode's. Output is
-/// bit-identical at every thread count.
+/// A scan of two or more chunks (pipeline/scan_chunks.hpp: 16 KB and 1200
+/// blocks each at least) decodes on runtime::parallel_for: restart-marked
+/// scans in runs of whole restart segments, others speculatively from
+/// fixed byte offsets, synced by one exact serial pass. The pixel stages
+/// (dequantize + IDCT + untile, then upsample + colour convert) of a frame
+/// large enough for two bands of pipeline::kMinBandBlocks blocks run band
+/// by band on it too. `num_threads` follows the usual knob semantics
+/// (0 = DNJ_THREADS / hardware concurrency, 1 = serial), exactly like
+/// encode's. Pixels, and the error of a corrupt stream, are bit-identical
+/// at every thread count.
 image::Image decode(ByteSpan bytes);
 image::Image decode(ByteSpan bytes, pipeline::CodecContext& ctx, int num_threads = 0);
 

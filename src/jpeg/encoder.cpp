@@ -130,27 +130,26 @@ void write_sos_header(std::vector<std::uint8_t>& out, const Comp* comps,
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
-// Walks MCUs in scan order invoking fn(component_index, grid_x, grid_y) for
-// every data unit, handling the restart bookkeeping via the callbacks.
-// Templated over the component record so the pipeline and reference paths
-// share one traversal (same bit-exact scan order).
+// Walks MCUs [m0, m1) in scan order invoking fn(component_index, grid_x,
+// grid_y) for every data unit, and restart(rst_index) in front of every
+// MCU a restart marker precedes. Templated over the component record so
+// the pipeline and reference paths share one traversal (same bit-exact
+// scan order).
 template <typename Comp, typename BlockFn, typename RestartFn>
-void for_each_data_unit(const Comp* comps, std::size_t n_comps, int mcus_x, int mcus_y,
+void for_each_data_unit(const Comp* comps, std::size_t n_comps, int mcus_x, int m0, int m1,
                         int restart_interval, BlockFn&& fn, RestartFn&& restart) {
-  int mcu_index = 0;
-  for (int my = 0; my < mcus_y; ++my) {
-    for (int mx = 0; mx < mcus_x; ++mx) {
-      if (restart_interval > 0 && mcu_index > 0 && mcu_index % restart_interval == 0)
-        restart((mcu_index / restart_interval - 1) % 8);
-      for (std::size_t ci = 0; ci < n_comps; ++ci) {
-        const Comp& c = comps[ci];
-        for (int by = 0; by < c.v; ++by) {
-          for (int bx = 0; bx < c.h; ++bx) {
-            fn(ci, mx * c.h + bx, my * c.v + by);
-          }
+  for (int mcu_index = m0; mcu_index < m1; ++mcu_index) {
+    if (restart_interval > 0 && mcu_index > 0 && mcu_index % restart_interval == 0)
+      restart((mcu_index / restart_interval - 1) % 8);
+    const int my = mcu_index / mcus_x;
+    const int mx = mcu_index % mcus_x;
+    for (std::size_t ci = 0; ci < n_comps; ++ci) {
+      const Comp& c = comps[ci];
+      for (int by = 0; by < c.v; ++by) {
+        for (int bx = 0; bx < c.h; ++bx) {
+          fn(ci, mx * c.h + bx, my * c.v + by);
         }
       }
-      ++mcu_index;
     }
   }
 }
@@ -340,6 +339,27 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
     return c.zz + (static_cast<std::size_t>(gy) * c.blocks_x + gx) * kBlockSize;
   };
 
+  // The entropy stage runs band by band too, over the same MCU rows. A
+  // band's DC predictors start from the DC of each component's last block
+  // in the MCU before it — all quantized blocks exist by now — so every
+  // band emits exactly the bits the serial walk emits for its MCUs.
+  const int restart_interval = config.restart_interval;
+  const int total_mcus = mcus_x * mcus_y;
+  const auto mcu_range = [&](const pipeline::Band& band) {
+    return std::pair<int, int>(band.first_row * mcus_x, band.end_row * mcus_x);
+  };
+  const auto dc_seed = [&](int m) {
+    std::array<int, kMaxComponents> pred{};
+    if (m == 0) return pred;  // a restart in front of m resets them anyway
+    const int mx = (m - 1) % mcus_x;
+    const int my = (m - 1) / mcus_x;
+    for (std::size_t ci = 0; ci < n_comps; ++ci) {
+      const Component& c = comps[ci];
+      pred[ci] = zz_block(ci, mx * c.h + c.h - 1, my * c.v + c.v - 1)[0];
+    }
+    return pred;
+  };
+
   // Huffman table specs: the context's cached static tables, or optimal
   // tables from a statistics pass (the only per-image table derivation left).
   const CodecContext::StaticHuffman& stat = ctx.static_huffman();
@@ -355,15 +375,29 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   HuffmanSpec opt_dc_luma, opt_ac_luma, opt_dc_chroma, opt_ac_chroma;
   std::optional<HuffmanEncoder> opt_enc[4];
   if (config.optimize_huffman) {
-    std::array<SymbolCounts, 2> counts{};  // [0]=luma tables, [1]=chroma tables
-    std::array<int, kMaxComponents> dc_pred{};
-    for_each_data_unit(
-        comps.data(), n_comps, mcus_x, mcus_y, config.restart_interval,
-        [&](std::size_t ci, int gx, int gy) {
-          count_block_symbols_zz(zz_block(ci, gx, gy), dc_pred[ci],
-                                 counts[static_cast<std::size_t>(comps[ci].tq)]);
-        },
-        [&](int) { dc_pred.fill(0); });
+    // Per-band symbol counts ([0] = luma tables, [1] = chroma tables),
+    // merged in band order.
+    std::vector<std::array<SymbolCounts, 2>> band_counts(
+        static_cast<std::size_t>(plan.bands()));
+    plan.run(num_threads, [&](const pipeline::Band& band) {
+      auto& counts = band_counts[static_cast<std::size_t>(band.index)];
+      const auto [m0, m1] = mcu_range(band);
+      std::array<int, kMaxComponents> dc_pred = dc_seed(m0);
+      for_each_data_unit(
+          comps.data(), n_comps, mcus_x, m0, m1, restart_interval,
+          [&](std::size_t ci, int gx, int gy) {
+            count_block_symbols_zz(zz_block(ci, gx, gy), dc_pred[ci],
+                                   counts[static_cast<std::size_t>(comps[ci].tq)]);
+          },
+          [&](int) { dc_pred.fill(0); });
+    });
+    std::array<SymbolCounts, 2> counts{};
+    for (const auto& bc : band_counts)
+      for (std::size_t t = 0; t < 2; ++t)
+        for (std::size_t sym = 0; sym < 256; ++sym) {
+          counts[t].dc[sym] += bc[t].dc[sym];
+          counts[t].ac[sym] += bc[t].ac[sym];
+        }
     opt_dc_luma = HuffmanSpec::build_optimal(counts[0].dc);
     opt_ac_luma = HuffmanSpec::build_optimal(counts[0].ac);
     dc_luma = &opt_dc_luma;
@@ -384,42 +418,21 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
     }
   }
 
-  // Serialize the stream. Reserving up front keeps the byte vector from
-  // reallocating through the entropy pass at typical codec qualities
-  // (~3 bits/pixel = 24 bytes/block); denser streams grow once or twice,
-  // and the returned capacity stays close to the payload for callers that
-  // keep many streams resident.
-  std::vector<std::uint8_t> out;
-  out.reserve(1024 + config.comment.size() + total_blocks * 24);
-  out.push_back(0xFF);
-  out.push_back(kSOI);
-  write_app0(out);
-  write_comment(out, config.comment);
-  write_dqt(out, luma_q, 0);
-  if (color) write_dqt(out, chroma_q, 1);
-  write_sof0(out, img.width, img.height, comps.data(), n_comps);
-  write_dht(out, *dc_luma, 0, 0);
-  write_dht(out, *ac_luma, 1, 0);
-  if (color) {
-    write_dht(out, *dc_chroma, 0, 1);
-    write_dht(out, *ac_chroma, 1, 1);
-  }
-  if (config.restart_interval > 0) write_dri(out, config.restart_interval);
-  write_sos_header(out, comps.data(), n_comps);
-
-  obs::Span entropy_span(obs::Stage::kEncodeEntropy, total_blocks);
-  BitWriter bw(out);
-  std::array<int, kMaxComponents> dc_pred{};
-  if (n_comps == 1 && config.restart_interval == 0) {
-    // Single-component scan without restarts: MCU order is plane raster
-    // order, so the whole scan is one contiguous block run — encode it
-    // through the batched cursor instead of per-block calls.
-    encode_blocks_zz(bw, comps[0].zz,
-                     static_cast<std::size_t>(comps[0].blocks_x) * comps[0].blocks_y,
-                     dc_pred[0], *dc_enc_luma, *ac_enc_luma);
-  } else {
+  // Emits MCUs [m0, m1) into `bw`, calling on_restart(rst_index) where a
+  // restart marker goes.
+  const auto emit_mcus = [&](BitWriter& bw, int m0, int m1,
+                             std::array<int, kMaxComponents>& dc_pred, const auto& on_restart) {
+    if (n_comps == 1 && restart_interval == 0) {
+      // Single-component scan without restarts: MCU order is plane raster
+      // order, so the range is one contiguous block run — encode it
+      // through the batched cursor instead of per-block calls.
+      encode_blocks_zz(bw, comps[0].zz + static_cast<std::size_t>(m0) * kBlockSize,
+                       static_cast<std::size_t>(m1 - m0), dc_pred[0], *dc_enc_luma,
+                       *ac_enc_luma);
+      return;
+    }
     for_each_data_unit(
-        comps.data(), n_comps, mcus_x, mcus_y, config.restart_interval,
+        comps.data(), n_comps, mcus_x, m0, m1, restart_interval,
         [&](std::size_t ci, int gx, int gy) {
           const bool luma_tables = comps[ci].tq == 0;
           encode_block_zz(bw, zz_block(ci, gx, gy), dc_pred[ci],
@@ -427,9 +440,88 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
                           luma_tables ? *ac_enc_luma : *ac_enc_chroma);
         },
         [&](int rst_index) {
-          bw.put_marker(static_cast<std::uint8_t>(kRST0 + rst_index));
+          on_restart(rst_index);
           dc_pred.fill(0);
         });
+  };
+
+  const auto write_headers = [&](std::vector<std::uint8_t>& out) {
+    out.push_back(0xFF);
+    out.push_back(kSOI);
+    write_app0(out);
+    write_comment(out, config.comment);
+    write_dqt(out, luma_q, 0);
+    if (color) write_dqt(out, chroma_q, 1);
+    write_sof0(out, img.width, img.height, comps.data(), n_comps);
+    write_dht(out, *dc_luma, 0, 0);
+    write_dht(out, *ac_luma, 1, 0);
+    if (color) {
+      write_dht(out, *dc_chroma, 0, 1);
+      write_dht(out, *ac_chroma, 1, 1);
+    }
+    if (restart_interval > 0) write_dri(out, restart_interval);
+    write_sos_header(out, comps.data(), n_comps);
+  };
+  const std::size_t header_reserve = 1024 + config.comment.size();
+
+  obs::Span entropy_span(obs::Stage::kEncodeEntropy, total_blocks);
+  std::vector<std::uint8_t> out;
+  if (plan.bands() == 1) {
+    // One band: emit straight into the stream. The reserve assumes about
+    // 3 bits/pixel (24 bytes/block), so the byte vector seldom
+    // reallocates through the entropy pass.
+    out.reserve(header_reserve + total_blocks * 24);
+    write_headers(out);
+    BitWriter bw(out);
+    std::array<int, kMaxComponents> dc_pred{};
+    emit_mcus(bw, 0, total_mcus, dc_pred, [&](int rst_index) {
+      bw.put_marker(static_cast<std::uint8_t>(kRST0 + rst_index));
+    });
+    bw.put_marker(kEOI);
+    return out;
+  }
+
+  // Every band emits its bits unstuffed into its own arena, cut into
+  // segments at its restart markers; a segment's last < 8 bits stay
+  // apart, since the band does not know the bit offset it will land at.
+  ctx.entropy_bands.resize(static_cast<std::size_t>(plan.bands()));
+  plan.run(num_threads, [&](const pipeline::Band& band) {
+    CodecContext::EntropyBand& eb = ctx.entropy_bands[static_cast<std::size_t>(band.index)];
+    eb.bytes.clear();
+    eb.segments.clear();
+    BitWriter bw(eb.bytes, BitWriter::Stuffing::kRaw);
+    const auto end_segment = [&](int rst_index) {
+      const BitWriter::Tail tail = bw.take_tail();
+      eb.segments.push_back({eb.bytes.size(), tail.bits, tail.count, rst_index});
+    };
+    const auto [m0, m1] = mcu_range(band);
+    std::array<int, kMaxComponents> dc_pred = dc_seed(m0);
+    emit_mcus(bw, m0, m1, dc_pred, end_segment);
+    end_segment(-1);
+  });
+
+  // One serial splice: each segment shifted to the running bit offset and
+  // stuffed, the padding and RSTn exactly where the serial walk puts them.
+  // The unstuffed size is known now, so the reserve is close to the
+  // stream: stuffing adds one byte per 0xFF (about 1 in 256 of coded
+  // bytes), each restart at most three.
+  std::size_t unstuffed = 0;
+  for (int b = 0; b < plan.bands(); ++b)
+    unstuffed += ctx.entropy_bands[static_cast<std::size_t>(b)].bytes.size() + 1;
+  const std::size_t restarts =
+      restart_interval > 0 ? static_cast<std::size_t>((total_mcus - 1) / restart_interval) : 0;
+  out.reserve(header_reserve + unstuffed + unstuffed / 64 + 3 * restarts + 2);
+  write_headers(out);
+  BitWriter bw(out);
+  for (int b = 0; b < plan.bands(); ++b) {
+    const CodecContext::EntropyBand& eb = ctx.entropy_bands[static_cast<std::size_t>(b)];
+    std::size_t begin = 0;
+    for (const CodecContext::EntropyBand::Segment& seg : eb.segments) {
+      bw.put_bytes(eb.bytes.data() + begin, seg.end - begin);
+      bw.put_bits(seg.tail, seg.tail_bits);
+      begin = seg.end;
+      if (seg.rst >= 0) bw.put_marker(static_cast<std::uint8_t>(kRST0 + seg.rst));
+    }
   }
   bw.put_marker(kEOI);
   return out;
@@ -562,7 +654,7 @@ std::vector<std::uint8_t> encode_reference(const image::Image& img,
     std::array<SymbolCounts, 2> counts{};
     std::vector<int> dc_pred(comps.size(), 0);
     for_each_data_unit(
-        comps.data(), comps.size(), mcus_x, mcus_y, config.restart_interval,
+        comps.data(), comps.size(), mcus_x, 0, mcus_x * mcus_y, config.restart_interval,
         [&](std::size_t ci, int gx, int gy) {
           count_block_symbols(block_of(ci, gx, gy), dc_pred[ci],
                               counts[static_cast<std::size_t>(comps[ci].tq)]);
@@ -601,7 +693,7 @@ std::vector<std::uint8_t> encode_reference(const image::Image& img,
   BitWriter bw(out);
   std::vector<int> dc_pred(comps.size(), 0);
   for_each_data_unit(
-      comps.data(), comps.size(), mcus_x, mcus_y, config.restart_interval,
+      comps.data(), comps.size(), mcus_x, 0, mcus_x * mcus_y, config.restart_interval,
       [&](std::size_t ci, int gx, int gy) {
         const bool luma_tables = comps[ci].tq == 0;
         encode_block(bw, block_of(ci, gx, gy), dc_pred[ci],

@@ -54,13 +54,13 @@ struct EncoderConfig {
 /// encode without copying into an Image first; the Image overloads
 /// forward via Image::view().
 ///
-/// The pixel stages (colour convert, 4:2:0 downsample, tile, FDCT,
-/// quantize) of a frame large enough for two bands of
-/// pipeline::kMinBandBlocks blocks run band by band on
-/// runtime::parallel_for; `num_threads` follows the usual knob semantics
-/// (0 = DNJ_THREADS / hardware concurrency, 1 = serial), exactly like
-/// decode's. Huffman statistics and the entropy emit stay serial. Output
-/// is bit-identical at every thread count.
+/// Every stage (colour convert, 4:2:0 downsample, tile, FDCT, quantize,
+/// Huffman statistics and emit) of a frame large enough for two bands of
+/// pipeline::kMinBandBlocks blocks runs band by band on
+/// runtime::parallel_for; the bands' bits are then spliced, stuffed and
+/// restart-marked in one serial pass. `num_threads` follows the usual
+/// knob semantics (0 = DNJ_THREADS / hardware concurrency, 1 = serial),
+/// exactly like decode's. Output is bit-identical at every thread count.
 std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
                                  pipeline::CodecContext& ctx, int num_threads = 0);
 std::vector<std::uint8_t> encode(const image::Image& img, const EncoderConfig& config,

@@ -1,11 +1,16 @@
-// Band splits for the per-image pixel stages of one frame.
+// Band splits for the per-image stages of one frame.
 //
 // The encode front end (colour convert, 4:2:0 downsample, tile, FDCT,
 // quantize) and the decode reconstruction (dequantize + IDCT + untile,
 // upsample + colour convert) are embarrassingly parallel across the rows
-// of a frame. A BandPlan cuts the frame's MCU rows into bands and runs a
-// stage's body once per band on runtime::parallel_for, so one large frame
-// can use every core.
+// of a frame. So is the Huffman emit once every block is quantized: each
+// band starts from the DC of the MCU before it, writes its bits unstuffed
+// into its own arena, and one serial splice joins the bands in order
+// (jpeg/encoder.cpp). A BandPlan cuts the frame's MCU rows into bands and
+// runs a stage's body once per band on runtime::parallel_for, so one
+// large frame can use every core. The Huffman decode cannot cut at rows
+// (nothing marks where a row starts in the scan); it splits the scan into
+// byte chunks instead (scan_chunks.hpp).
 //
 // Band boundaries depend only on the frame geometry (blocks per MCU row
 // and MCU row count), never on the thread count, and every band writes a

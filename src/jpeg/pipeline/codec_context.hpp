@@ -14,6 +14,8 @@
 //  * the static (Annex K.3) Huffman specs and their derived encoder tables,
 //    built once per context instead of once per image — dataset-level
 //    callers with optimize_huffman off no longer re-derive them per image.
+//  * the entropy stage's arenas — per-band unstuffed output on encode, the
+//    scan chunks and their speculative scratch on decode.
 //  * a two-slot reciprocal-multiplier cache (luma/chroma) keyed by table
 //    contents, so the fused quantize pass multiplies instead of divides
 //    without rebuilding reciprocals for every image of a transcode run.
@@ -38,11 +40,10 @@
 #include "image/color.hpp"
 #include "jpeg/huffman.hpp"
 #include "jpeg/pipeline/coeff_plane.hpp"
+#include "jpeg/pipeline/scan_chunks.hpp"
 #include "jpeg/quant.hpp"
 
 namespace dnj::jpeg::pipeline {
-
-inline constexpr int kMaxComponents = 3;
 
 class CodecContext {
  public:
@@ -98,11 +99,32 @@ class CodecContext {
   std::array<CoeffPlane, kMaxComponents> coeff;  ///< float DCT planes
   std::array<QuantPlane, kMaxComponents> quant;  ///< zig-zag int16 planes
 
+  /// One band of a scan's entropy-coded data, emitted apart from the other
+  /// bands (jpeg/encoder.cpp): its bits unstuffed, cut into segments at
+  /// its restart markers, before the splice joins the bands.
+  struct EntropyBand {
+    struct Segment {
+      std::size_t end = 0;     ///< bytes[previous end, end) are its whole bytes,
+      std::uint32_t tail = 0;  ///< then the low tail_bits bits of tail
+      int tail_bits = 0;
+      int rst = -1;  ///< index of the RSTn marker that follows; -1 at band end
+    };
+    std::vector<std::uint8_t> bytes;
+    std::vector<Segment> segments;
+  };
+  std::vector<EntropyBand> entropy_bands;  ///< one per band of a multi-band scan
+
   // --- decode-side arenas -------------------------------------------------
   std::array<QuantPlane, kMaxComponents> decode_coeffs;  ///< natural-order int16
   std::array<CoeffPlane, kMaxComponents> decode_fp;      ///< dequantized floats
   std::array<image::PlaneF, kMaxComponents> decode_planes;  ///< native resolution
   std::vector<float> decode_rows;  ///< upsample row buffers, 6 rows per band
+  std::vector<ScanChunk> decode_chunks;  ///< the scan's chunks (pipeline/scan_chunks.hpp)
+  /// Speculative chunks' blocks and their start bit positions, each chunk
+  /// at its ScanChunk::scratch offset. Never zero-filled, so only the
+  /// blocks a chunk really decodes become resident.
+  ScratchArray<std::int16_t> decode_chunk_blocks;
+  ScratchArray<std::uint64_t> decode_chunk_starts;
 
  private:
   std::optional<StaticHuffman> static_huffman_;

@@ -23,6 +23,9 @@
 
 namespace dnj::jpeg::pipeline {
 
+/// Components of a frame (gray: 1, YCbCr: 3), one plane of each kind apiece.
+inline constexpr int kMaxComponents = 3;
+
 class CoeffPlane {
  public:
   /// Resizes to a blocks_x * blocks_y grid. Existing capacity is reused;

@@ -101,6 +101,14 @@ void drain_chunks(const std::shared_ptr<LoopState>& st, const Body* body) {
 
 }  // namespace detail
 
+/// Threads a parallel_for called here with `num_threads` can use: the
+/// calling thread plus pool workers, and 1 inside another loop's body.
+inline unsigned usable_threads(int num_threads) {
+  if (detail::region_depth > 0) return 1;
+  return std::min<unsigned>(resolve_threads(num_threads),
+                            ThreadPool::global().worker_count() + 1);
+}
+
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, const Body& body,
                   int num_threads = 0) {
@@ -108,10 +116,8 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, const B
   if (grain == 0) grain = 1;
   const std::size_t n = end - begin;
   const std::size_t chunks = (n + grain - 1) / grain;
-  ThreadPool& pool = ThreadPool::global();
-  const unsigned threads = std::min<unsigned>(resolve_threads(num_threads),
-                                              pool.worker_count() + 1);
-  if (threads <= 1 || chunks <= 1 || detail::region_depth > 0) {
+  const unsigned threads = usable_threads(num_threads);
+  if (threads <= 1 || chunks <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
@@ -122,6 +128,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, const B
   st->grain = grain;
   st->chunks = chunks;
 
+  ThreadPool& pool = ThreadPool::global();
   // Helpers capture the state by shared_ptr but the body by pointer: any
   // helper that starts after the loop already completed finds next >=
   // chunks and returns without dereferencing the (dead) body.

@@ -1,9 +1,11 @@
 // Differential fuzz target for the JPEG decoder.
 //
 // Oracle, per input:
-//  * jpeg::decode at the default Huffman lookup width and at width 0 (the
-//    bit-by-bit reference walk) return identical pixels, or both throw
-//    std::runtime_error;
+//  * jpeg::decode at the default Huffman lookup width on 4 threads (so a
+//    scan of two or more chunks takes the split decoder of
+//    jpeg/pipeline/scan_chunks.hpp) and at width 0 on 1 thread (the
+//    bit-by-bit reference walk, straight through) return identical
+//    pixels, or both throw std::runtime_error;
 //  * jpeg::parse_info returns or throws std::runtime_error.
 // Anything else — a mismatch, another exception type, a crash or a
 // sanitizer report — is a finding. Every finding becomes a regression test
@@ -17,9 +19,11 @@
 //  * Standalone (any compiler; the default build): a deterministic
 //    mutation runner. It builds its seed corpus in process from the stream
 //    shapes of test_jpeg_robustness (gray, 4:4:4 and 4:2:0; restart
-//    markers on and off; optimized Huffman tables), then runs the oracle on
-//    seeded mutations of it: bit flips, byte stores, truncation, chunk
-//    splices, inserted markers and 0xFF runs.
+//    markers on and off; optimized Huffman tables) plus two 4:2:0 q90
+//    streams just past the two-chunk threshold, with and without restart
+//    markers, so that mutations land in speculative chunks. Then it runs
+//    the oracle on seeded mutations of the corpus: bit flips, byte stores,
+//    truncation, chunk splices, inserted markers and 0xFF runs.
 //
 //      fuzz_jpeg_decode [--iterations N] [--seconds S] [--seed K]
 //
@@ -52,12 +56,12 @@ struct Outcome {
 };
 
 // One context per width, so each keeps its own decoder tables warm.
-Outcome decode_at(const std::uint8_t* data, std::size_t size, int width,
+Outcome decode_at(const std::uint8_t* data, std::size_t size, int width, int threads,
                   jpeg::pipeline::CodecContext& ctx) {
   jpeg::set_entropy_lut_bits(width);
   Outcome o;
   try {
-    o.img = jpeg::decode(ByteSpan{data, size}, ctx, 1);
+    o.img = jpeg::decode(ByteSpan{data, size}, ctx, threads);
     o.ok = true;
   } catch (const std::runtime_error&) {
   }
@@ -74,8 +78,8 @@ std::string check(const std::uint8_t* data, std::size_t size, bool* decoded = nu
     (void)jpeg::parse_info(ByteSpan{data, size});
   } catch (const std::runtime_error&) {
   }
-  const Outcome lut = decode_at(data, size, default_width, lut_ctx);
-  const Outcome ref = decode_at(data, size, 0, ref_ctx);
+  const Outcome lut = decode_at(data, size, default_width, 4, lut_ctx);
+  const Outcome ref = decode_at(data, size, 0, 1, ref_ctx);
   jpeg::set_entropy_lut_bits(default_width);
   if (decoded) *decoded = ref.ok;
   if (lut.ok != ref.ok)
@@ -102,31 +106,36 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 #ifndef DNJ_LIBFUZZER
 namespace {
 
-// The test_jpeg_robustness stream shapes.
+// The test_jpeg_robustness stream shapes (48x40, q80), then the two-chunk
+// shapes: 320x320 4:2:0 q90 is 2400 blocks in about 55 KB of scan, just
+// past both minimums of pipeline::chunk_count, with and without one
+// restart marker per MCU row.
 std::vector<std::vector<std::uint8_t>> seed_corpus() {
   struct Shape {
     int channels;
     jpeg::Subsampling sub;
     int restart;
     bool optimize;
+    int size = 0;  // 0: 48x40 at q80; else size x size at q90
   };
   const Shape shapes[] = {
       {1, jpeg::Subsampling::k444, 0, false}, {1, jpeg::Subsampling::k444, 3, false},
       {3, jpeg::Subsampling::k444, 0, false}, {3, jpeg::Subsampling::k420, 0, false},
       {3, jpeg::Subsampling::k420, 2, false}, {3, jpeg::Subsampling::k420, 0, true},
-      {1, jpeg::Subsampling::k444, 2, true},
+      {1, jpeg::Subsampling::k444, 2, true},  {3, jpeg::Subsampling::k420, 0, false, 320},
+      {3, jpeg::Subsampling::k420, 20, false, 320},
   };
   std::vector<std::vector<std::uint8_t>> corpus;
   for (const Shape& sh : shapes) {
     data::GeneratorConfig cfg;
-    cfg.width = 48;
-    cfg.height = 40;
+    cfg.width = sh.size > 0 ? sh.size : 48;
+    cfg.height = sh.size > 0 ? sh.size : 40;
     cfg.channels = sh.channels;
     cfg.seed = 99;
     const image::Image img =
         data::SyntheticDatasetGenerator(cfg).render(data::ClassKind::kBandNoise, 0);
     jpeg::EncoderConfig ec;
-    ec.quality = 80;
+    ec.quality = sh.size > 0 ? 90 : 80;
     ec.subsampling = sh.sub;
     ec.restart_interval = sh.restart;
     ec.optimize_huffman = sh.optimize;
@@ -207,6 +216,20 @@ int main(int argc, char** argv) {
   }
   if (iterations < 0 && seconds <= 0) iterations = 2000;
   const std::vector<std::vector<std::uint8_t>> corpus = seed_corpus();
+  for (std::size_t i = corpus.size() - 2; i < corpus.size(); ++i) {
+    // The two-chunk shapes must still reach the split decoder.
+    jpeg::pipeline::CodecContext ctx;
+    try {
+      (void)jpeg::decode(corpus[i], ctx, 4);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "fuzz_jpeg_decode: seed stream %zu: %s\n", i, e.what());
+      return 1;
+    }
+    if (ctx.decode_chunks.size() < 2) {
+      std::fprintf(stderr, "fuzz_jpeg_decode: seed stream %zu decodes as one chunk\n", i);
+      return 1;
+    }
+  }
   std::mt19937_64 rng(seed);
   const auto start = std::chrono::steady_clock::now();
   long done = 0;

@@ -279,6 +279,108 @@ TEST(ReadCursor, CommitRoundTripsPositionAndBufferedBits) {
   }
 }
 
+// Reads `bytes` to exhaustion in random chunks through get_bits and a
+// ReadCursor; after every read both report as their bit_position() the
+// data bits consumed so far, whatever stuffing, fill or marker lies ahead.
+void expect_bit_positions_count_data_bits(const std::vector<std::uint8_t>& bytes,
+                                          std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  BitReader ref(bytes.data(), bytes.size());
+  BitReader under(bytes.data(), bytes.size());
+  BitReader::ReadCursor cur(under);
+  std::uint64_t consumed = 0;
+  for (;;) {
+    const int n = 1 + static_cast<int>(rng() % 31);
+    if (ref.get_bits(n) < 0) break;
+    if (cur.bits() < n) cur.refill();
+    ASSERT_GE(cur.bits(), n);
+    cur.skip(n);
+    consumed += static_cast<std::uint64_t>(n);
+    ASSERT_EQ(ref.bit_position(), consumed);
+    ASSERT_EQ(cur.bit_position(), consumed);
+  }
+  cur.commit();
+  EXPECT_EQ(under.bit_position(), consumed);
+}
+
+TEST(ReadCursor, BitPositionCountsDataBitsOnly) {
+  for (std::size_t off = 0; off <= 24; ++off) {
+    std::vector<std::uint8_t> s = plain_bytes(24, off + 3);
+    s.insert(s.begin() + static_cast<long>(off), {0xFF, 0x00});        // stuffed
+    s.insert(s.begin() + static_cast<long>(off / 2), {0xFF, 0xFF, 0x00});  // fill + stuffed
+    s.insert(s.end(), {0xFF, 0xFF, kEOI});  // fill, then a marker
+    SCOPED_TRACE("offset " + std::to_string(off));
+    expect_bit_positions_count_data_bits(s, off);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Splicing: bands written raw and joined with put_bytes at any bit offset
+// give the stream one writer gives.
+// ---------------------------------------------------------------------------
+
+struct Field {
+  std::uint32_t bits;
+  int count;
+};
+
+// Random fields, 0xFF-heavy so the stuffing runs.
+std::vector<Field> random_fields(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Field> f(n);
+  for (Field& x : f) {
+    x.count = 1 + static_cast<int>(rng() % 27);
+    const std::uint32_t v = rng() % 3 == 0 ? 0xFFFFFFFFu : static_cast<std::uint32_t>(rng());
+    x.bits = v & ((1u << x.count) - 1u);
+  }
+  return f;
+}
+
+TEST(BitWriter, PutBytesAtEveryBitOffsetMatchesPutBits) {
+  for (int lead = 0; lead < 8; ++lead) {
+    for (const std::size_t n : {0, 1, 7, 8, 9, 100, 5000, 9000}) {
+      const std::vector<std::uint8_t> src = plain_bytes(n, n + static_cast<std::size_t>(lead));
+      std::vector<std::uint8_t> expect, got;
+      BitWriter we(expect), wg(got);
+      we.put_bits(0x2Bu & ((1u << lead) - 1u), lead);
+      wg.put_bits(0x2Bu & ((1u << lead) - 1u), lead);
+      for (const std::uint8_t b : src) we.put_bits(b, 8);
+      wg.put_bytes(src.data(), src.size());
+      we.put_bits(5, 3);
+      wg.put_bits(5, 3);
+      we.flush();
+      wg.flush();
+      EXPECT_EQ(expect, got) << "lead=" << lead << " n=" << n;
+    }
+  }
+}
+
+TEST(BitWriter, RawBandsSplicedMatchOneWriter) {
+  const std::vector<Field> fields = random_fields(6000, 21);
+  std::vector<std::uint8_t> expect;
+  {
+    BitWriter w(expect);
+    for (const Field& f : fields) w.put_bits(f.bits, f.count);
+    w.put_marker(kEOI);
+  }
+  for (const std::size_t band_fields : {1, 13, 700, 6000}) {
+    std::vector<std::uint8_t> got;
+    BitWriter splice(got);
+    for (std::size_t first = 0; first < fields.size(); first += band_fields) {
+      std::vector<std::uint8_t> band;
+      BitWriter raw(band, BitWriter::Stuffing::kRaw);
+      for (std::size_t i = first; i < std::min(fields.size(), first + band_fields); ++i)
+        raw.put_bits(fields[i].bits, fields[i].count);
+      const BitWriter::Tail tail = raw.take_tail();
+      ASSERT_LT(tail.count, 8);
+      splice.put_bytes(band.data(), band.size());
+      splice.put_bits(tail.bits, tail.count);
+    }
+    splice.put_marker(kEOI);
+    EXPECT_EQ(expect, got) << "fields per band " << band_fields;
+  }
+}
+
 TEST(Markers, Predicates) {
   EXPECT_TRUE(is_rst(0xD0));
   EXPECT_TRUE(is_rst(0xD7));

@@ -20,9 +20,14 @@
 //    the last bit of the scan decode exactly as at width 0.
 //  * SOS-time table build — DHT redefinitions cost no decoder builds; only
 //    the tables the scan references are built.
+//  * Split entropy stage — banded Huffman emit and the chunked scan
+//    decoder (jpeg/pipeline/scan_chunks.hpp) give the serial walk's bytes,
+//    pixels and errors at every thread count; a chunk that never syncs is
+//    decoded through; the encoder reserves its output from the band sizes.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -32,8 +37,10 @@
 #include "data/synthetic.hpp"
 #include "jpeg/block_coder.hpp"
 #include "jpeg/codec.hpp"
+#include "jpeg/pipeline/bands.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
 #include "jpeg/zigzag.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 namespace {
@@ -701,6 +708,241 @@ TEST(SosTableBuild, InvalidTableInUnreferencedSlotStillFails) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("invalid Huffman table"), std::string::npos)
         << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Split entropy stage: banded emit, chunked scan decode
+// ---------------------------------------------------------------------------
+
+// Smooth texture plus noise, so every block carries AC energy.
+image::Image textured(int w, int h, int channels, std::uint64_t seed) {
+  image::Image img(w, h, channels);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> noise(-24, 24);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      for (int c = 0; c < channels; ++c) {
+        const float base = 128.0f + 60.0f * std::sin(x * 0.11f + 2.0f * c) * std::cos(y * 0.07f);
+        img.at(x, y, c) = image::clamp_u8(base + static_cast<float>(noise(rng)));
+      }
+  return img;
+}
+
+// Chunks the decoder cut `stream`'s scan into, decoding on 4 threads.
+std::vector<pipeline::ScanChunk> chunks_of(const std::vector<std::uint8_t>& stream) {
+  pipeline::CodecContext ctx;
+  (void)decode_coefficients(stream, ctx, 4);
+  return ctx.decode_chunks;
+}
+
+TEST(SplitEntropy, BytesAndPixelsMatchTheSerialWalkAcrossModesRestartsLevelsAndThreads) {
+  // 768x432: two or more emit bands and two or more scan chunks in every
+  // mode (asserted below), small enough to cross every axis.
+  struct Mode {
+    const char* name;
+    int channels;
+    Subsampling sub;
+    int mcus_x, mcus_y, blocks_per_mcu;
+  };
+  const Mode modes[] = {{"gray", 1, Subsampling::k444, 96, 54, 1},
+                        {"444", 3, Subsampling::k444, 96, 54, 3},
+                        {"420", 3, Subsampling::k420, 48, 27, 6}};
+  pipeline::CodecContext ctx;
+  for (const Mode& mode : modes) {
+    const image::Image img = textured(768, 432, mode.channels, 0x5B1 + mode.channels);
+    for (const int ri : {0, 1, 7, mode.mcus_x}) {
+      EncoderConfig cfg;
+      cfg.quality = 90;
+      cfg.subsampling = mode.sub;
+      cfg.restart_interval = ri;
+      cfg.optimize_huffman = ri == 7;
+      const std::vector<std::uint8_t> want = encode_reference(img, cfg);
+      const DecodeSnapshot want_decode = snapshot_decode(want, 1);
+      if (ri == 0) {
+        const pipeline::BandPlan plan(
+            static_cast<std::size_t>(mode.mcus_x * mode.blocks_per_mcu), mode.mcus_y);
+        EXPECT_GE(plan.bands(), 2) << mode.name;
+        EXPECT_GE(chunks_of(want).size(), 2u) << mode.name;
+      }
+      for (const simd::Level level :
+           {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2}) {
+        if (!simd::set_level(level)) continue;
+        for (int threads = 1; threads <= 4; ++threads) {
+          SCOPED_TRACE(std::string(mode.name) + " ri=" + std::to_string(ri) + " level=" +
+                       simd::level_name(level) + " threads=" + std::to_string(threads));
+          EXPECT_EQ(encode(img, cfg, ctx, threads), want);
+          expect_snapshots_equal(want_decode, snapshot_decode(want, threads), mode.name);
+        }
+      }
+      simd::set_level(simd::max_supported_level());
+    }
+  }
+}
+
+// What a decode gave: the pixels, or the error text.
+struct Outcome {
+  bool ok = false;
+  std::vector<std::uint8_t> pixels;
+  std::string error;
+  bool operator==(const Outcome& o) const {
+    return ok == o.ok && pixels == o.pixels && error == o.error;
+  }
+};
+
+Outcome decode_outcome(const std::vector<std::uint8_t>& bytes, int threads) {
+  Outcome o;
+  pipeline::CodecContext ctx;
+  try {
+    o.pixels = decode(bytes, ctx, threads).data();
+    o.ok = true;
+  } catch (const std::runtime_error& e) {
+    o.error = e.what();
+  }
+  return o;
+}
+
+// Every thread count gives the 1-thread decode's pixels or its error.
+void expect_thread_invariant_outcome(const std::vector<std::uint8_t>& bytes,
+                                     const std::string& what) {
+  const Outcome serial = decode_outcome(bytes, 1);
+  for (int threads = 2; threads <= 4; ++threads)
+    EXPECT_TRUE(decode_outcome(bytes, threads) == serial)
+        << what << " threads=" << threads << " serial: "
+        << (serial.ok ? "decoded" : serial.error);
+}
+
+// A 1080p-class 4:2:0 q90 stream without restart markers, and the offsets
+// (from the start of the stream) at which its scan chunks begin.
+struct SplitStream {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> cuts;
+};
+
+const SplitStream& split_stream() {
+  static const SplitStream s = [] {
+    SplitStream out;
+    EncoderConfig cfg;
+    cfg.quality = 90;
+    cfg.subsampling = Subsampling::k420;
+    out.bytes = encode(synth(1920, 1080, 3, 0x1080), cfg);
+    const std::size_t begin = scan_begin(out.bytes);
+    for (const pipeline::ScanChunk& c : chunks_of(out.bytes)) out.cuts.push_back(begin + c.begin);
+    return out;
+  }();
+  return s;
+}
+
+TEST(SplitEntropy, CorruptByteGivesTheSerialOutcome) {
+  const SplitStream& s = split_stream();
+  ASSERT_GE(s.cuts.size(), 3u);
+  const std::size_t eoi = s.bytes.size() - 2;
+  // Inside the second chunk, and inside the last one.
+  for (const std::size_t at : {(s.cuts[1] + s.cuts[2]) / 2, (s.cuts.back() + eoi) / 2}) {
+    for (const std::uint8_t flip : {0x01, 0x10, 0x80}) {
+      std::vector<std::uint8_t> bad = s.bytes;
+      bad[at] ^= flip;
+      if (bad[at] == 0xFF) continue;  // keep the stuffing valid
+      expect_thread_invariant_outcome(bad, "flip " + std::to_string(flip) + " at " +
+                                               std::to_string(at));
+    }
+  }
+}
+
+TEST(SplitEntropy, TruncationAtEveryCutGivesTheSerialError) {
+  const SplitStream& s = split_stream();
+  for (const std::size_t cut : s.cuts) {
+    const std::vector<std::uint8_t> prefix(s.bytes.begin(),
+                                           s.bytes.begin() + static_cast<long>(cut));
+    const Outcome serial = decode_outcome(prefix, 1);
+    EXPECT_FALSE(serial.ok) << "cut " << cut;
+    expect_thread_invariant_outcome(prefix, "truncated at " + std::to_string(cut));
+  }
+}
+
+TEST(SplitEntropy, ExtraBytesAfterTheLastMcuStillDecode) {
+  const SplitStream& s = split_stream();
+  // Several chunks' worth of junk between the last MCU and EOI: the
+  // speculative chunks in it fail, and no failure may surface.
+  std::vector<std::uint8_t> padded(s.bytes.begin(), s.bytes.end() - 2);
+  std::mt19937_64 rng(77);
+  for (std::size_t i = 0; i < 3 * pipeline::kMinChunkBytes; ++i) {
+    const auto b = static_cast<std::uint8_t>(rng());
+    padded.push_back(b);
+    if (b == 0xFF) padded.push_back(0x00);
+  }
+  padded.push_back(0xFF);
+  padded.push_back(0xD9);
+  const std::size_t last_mcu_end = s.bytes.size() - 2 - scan_begin(s.bytes);
+  ASSERT_GT(chunks_of(padded).back().begin, last_mcu_end);  // a chunk of junk only
+  const Outcome want = decode_outcome(s.bytes, 1);
+  ASSERT_TRUE(want.ok);
+  for (int threads = 1; threads <= 4; ++threads)
+    EXPECT_TRUE(decode_outcome(padded, threads) == want) << "threads=" << threads;
+}
+
+TEST(SplitEntropy, ChunkThatNeverSyncsIsDecodedThrough) {
+  // Fill bytes (0xFF in front of a stuffed 0xFF 00) change no data bit.
+  // A run of them long enough to hold a cut, placed right after a data
+  // byte a cut lands on, leaves that chunk two data bytes: too few block
+  // starts to sync with, so the exact decode runs through it.
+  const SplitStream& s = split_stream();
+  const std::size_t begin = scan_begin(s.bytes);
+  const std::size_t blocks = 120 * 68 * 6;
+  const Outcome want = decode_outcome(s.bytes, 1);
+  ASSERT_TRUE(want.ok);
+  bool reached = false;
+  for (std::size_t p = begin + 2; p + 1 < s.bytes.size() - 2 && !reached; ++p) {
+    // A stuffed pair at p whose two bytes in front are plain data.
+    if (s.bytes[p] != 0xFF || s.bytes[p + 1] != 0x00 || s.bytes[p - 1] == 0xFF ||
+        s.bytes[p - 2] == 0xFF)
+      continue;
+    const std::size_t scan = s.bytes.size() - begin;
+    const std::size_t d = p - 1 - begin;  // the data byte, as a scan offset
+    for (std::size_t n = pipeline::chunk_count(scan, blocks);
+         n <= pipeline::chunk_count(2 * scan, blocks) && !reached; ++n) {
+      for (std::size_t c = 1; c < n && !reached; ++c) {
+        // The fewest fill bytes F that put cut c on the data byte
+        // (c * (scan + F) / n == d), with cut c + 1 inside the fill run
+        // or the pair after it.
+        const std::size_t padded_scan = (d * n + c - 1) / c;
+        if (padded_scan <= scan) continue;
+        const std::size_t fill = padded_scan - scan;
+        const std::size_t next = (c + 1) * padded_scan / n;
+        if (c * padded_scan / n != d || pipeline::chunk_count(padded_scan, blocks) != n ||
+            next < d + 1 || next > d + 2 + fill)
+          continue;
+        std::vector<std::uint8_t> padded = s.bytes;
+        padded.insert(padded.begin() + static_cast<long>(p), fill, 0xFF);
+        const std::vector<pipeline::ScanChunk> chunks = chunks_of(padded);
+        if (chunks.size() <= c || chunks[c].begin != d || chunks[c].placed != 0) continue;
+        reached = true;
+        for (int threads = 1; threads <= 4; ++threads)
+          EXPECT_TRUE(decode_outcome(padded, threads) == want) << "threads=" << threads;
+      }
+    }
+  }
+  EXPECT_TRUE(reached) << "no candidate reached the no-sync path";
+}
+
+TEST(SplitEntropy, EncoderReservesFromTheBandSizes) {
+  // A 1080p 4:4:4 encode with custom (DeepN-style) tables: dozens of
+  // bands, a stream of tens of KB.
+  EncoderConfig cfg;
+  cfg.use_custom_tables = true;
+  std::array<std::uint16_t, 64> luma{}, chroma{};
+  for (int k = 0; k < 64; ++k) {
+    luma[static_cast<std::size_t>(k)] = static_cast<std::uint16_t>(8 + 4 * k);
+    chroma[static_cast<std::size_t>(k)] = static_cast<std::uint16_t>(16 + 6 * k);
+  }
+  cfg.luma_table = QuantTable(luma);
+  cfg.chroma_table = QuantTable(chroma);
+  cfg.subsampling = Subsampling::k444;
+  pipeline::CodecContext ctx;
+  for (const int threads : {1, 4}) {
+    const std::vector<std::uint8_t> out = encode(synth(1920, 1080, 3, 0x444), cfg, ctx, threads);
+    EXPECT_LE(out.capacity(), out.size() + out.size() / 16 + 2048)
+        << "threads=" << threads << " size=" << out.size();
   }
 }
 
