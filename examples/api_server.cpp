@@ -55,7 +55,7 @@ int main() {
     streams.push_back(s.take());
   }
 
-  Service service(ServiceOptions().workers(4).max_batch(8).result_cache(128));
+  Service service(ServiceOptions().workers(4).result_cache(128));
 
   // Mixed closed-loop traffic from four client threads.
   constexpr int kClients = 4;
@@ -103,13 +103,10 @@ int main() {
   std::printf("\nclients: %d x %d requests -> ok=%llu failed=%llu\n", kClients,
               kPerClient, static_cast<unsigned long long>(total_ok),
               static_cast<unsigned long long>(total_failed));
-  std::printf("service: submitted=%llu completed=%llu cache_hits=%llu batches=%llu "
-              "(max batch %llu)\n",
+  std::printf("service: submitted=%llu completed=%llu cache_hits=%llu\n",
               static_cast<unsigned long long>(m.submitted),
               static_cast<unsigned long long>(m.completed),
-              static_cast<unsigned long long>(m.cache_hits),
-              static_cast<unsigned long long>(m.batches),
-              static_cast<unsigned long long>(m.max_batch));
+              static_cast<unsigned long long>(m.cache_hits));
   std::printf("latency p50/p95/p99 = %.0f/%.0f/%.0f us\n", m.total_p50_us, m.total_p95_us,
               m.total_p99_us);
 

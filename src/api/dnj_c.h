@@ -8,7 +8,9 @@
  * Versioning: DNJ_ABI_VERSION_* name the ABI this header describes;
  * dnj_abi_version() reports the ABI of the linked library. Compare the
  * two at startup to detect a skew. The policy (README "Public API"):
- * minor bumps are additive (new functions only); any change to an
+ * minor bumps never break a C caller — they add functions, or follow a
+ * C++ façade change that leaves this header's functions as they were
+ * (1.5: C++ façade removals; C ABI unchanged); any change to an
  * existing signature, struct layout, enum value, or ownership rule bumps
  * the major version.
  *
@@ -49,7 +51,7 @@ extern "C" {
 /* ------------------------------------------------------------- version */
 
 #define DNJ_ABI_VERSION_MAJOR 1
-#define DNJ_ABI_VERSION_MINOR 4
+#define DNJ_ABI_VERSION_MINOR 5
 #define DNJ_ABI_VERSION ((uint32_t)((DNJ_ABI_VERSION_MAJOR << 16) | DNJ_ABI_VERSION_MINOR))
 
 /* ABI version of the linked library: (major << 16) | minor. */
@@ -116,7 +118,7 @@ dnj_status_t dnj_options_set_restart_interval(dnj_options_t* options, int32_t mc
 dnj_status_t dnj_options_set_comment(dnj_options_t* options, const char* text);
 
 /* Digest of the canonical options serialization — equal digests mean the
- * same encode computation (the serve layer's cache/batch key). */
+ * same encode computation (the serve layer's result-cache key). */
 uint64_t dnj_options_digest(const dnj_options_t* options);
 
 /* ------------------------------------------------------------- session */
@@ -149,7 +151,7 @@ dnj_status_t dnj_transcode(dnj_session_t* session, const uint8_t* bytes, size_t 
 
 /* Opaque multi-tenant table registry: names tenants and maps each to an
  * immutable encoder configuration (base quantization tables + options +
- * an optional result-cache byte quota). Share one registry across servers
+ * a recorded quota value). Share one registry across servers
  * by passing it to dnj_server_new_with_registry. Thread-safe; updates are
  * versioned, and requests in flight keep the tenant snapshot they
  * resolved at submission. Added in ABI 1.2. */
@@ -163,9 +165,12 @@ const char* dnj_registry_last_error(const dnj_registry_t* registry);
 
 /* Registers (or replaces) tenant `name` with `options` as its base
  * configuration (NULL = defaults; a registration without custom tables is
- * materialized with the Annex K pair) and `quota_bytes` as its
- * result-cache byte quota (0 = none). *out_version (optional) receives
- * the published registry version. */
+ * materialized with the Annex K pair) and records `quota_bytes` with it.
+ * The quota is recorded and reported by dnj_registry_get, not enforced:
+ * no server reads it. The per-tenant result-cache cap a service enforces
+ * is its one tenant_quota_bytes setting (C++ ServiceOptions), the same for
+ * every tenant. *out_version (optional) receives the published registry
+ * version. */
 dnj_status_t dnj_registry_put(dnj_registry_t* registry, const char* name,
                               const dnj_options_t* options, size_t quota_bytes,
                               uint64_t* out_version);
@@ -174,7 +179,7 @@ dnj_status_t dnj_registry_put(dnj_registry_t* registry, const char* name,
 dnj_status_t dnj_registry_remove(dnj_registry_t* registry, const char* name);
 
 /* Looks `name` up; *out_version / *out_quota_bytes (each optional)
- * receive the tenant's published version and quota. */
+ * receive the tenant's published version and recorded quota. */
 dnj_status_t dnj_registry_get(dnj_registry_t* registry, const char* name,
                               uint64_t* out_version, size_t* out_quota_bytes);
 
@@ -191,7 +196,7 @@ dnj_status_t dnj_registry_encode_options(dnj_registry_t* registry, const char* n
 /* -------------------------------------------------------------- server */
 
 /* Opaque network server: an asynchronous transcode service (worker pool,
- * bounded queue, micro-batching, result cache) fronted by the TCP
+ * bounded queue, result cache) fronted by the TCP
  * protocol in docs/PROTOCOL.md. Added in ABI 1.1. */
 typedef struct dnj_server_t dnj_server_t;
 

@@ -1,8 +1,10 @@
 // Public multi-tenant table registry handle.
 //
 // A Registry names tenants and maps each to an immutable encoder
-// configuration snapshot (base quantization tables + options + an optional
-// result-cache byte quota). Services resolve kDeepnEncode requests that
+// configuration snapshot (base quantization tables + options + a quota
+// value that is recorded and reported, not enforced: the per-tenant
+// result-cache cap a service enforces is ServiceOptions::
+// tenant_quota_bytes, one value for every tenant). Services resolve kDeepnEncode requests that
 // carry a tenant name against their registry; see Service::deepn_encode.
 //
 //   Registry registry;
@@ -44,7 +46,7 @@ struct RegistryAccess;
 struct TenantInfo {
   std::string name;
   std::uint64_t version = 0;     ///< registry-global monotonic publication stamp
-  std::size_t quota_bytes = 0;   ///< result-cache byte quota (0 = none)
+  std::size_t quota_bytes = 0;   ///< recorded quota, not enforced (put())
   EncodeOptions options;         ///< normalized base configuration (custom
                                  ///  tables always materialized, quality 50)
 };
@@ -60,12 +62,15 @@ class Registry {
   Registry& operator=(Registry&&) noexcept;
 
   /// Registers (or replaces) tenant `name` with `base` as its encoder
-  /// configuration and `quota_bytes` as its result-cache byte quota
-  /// (0 = none). Normalization: when `base` carries no custom tables the
+  /// configuration and records `quota_bytes` with it. The quota is
+  /// reported by get() but not enforced: no service reads it, and the
+  /// per-tenant result-cache cap a service enforces is
+  /// ServiceOptions::tenant_quota_bytes, the same for every tenant.
+  /// Normalization: when `base` carries no custom tables the
   /// Annex K pair is materialized (request quality then scales exactly
   /// like standard IJG quality), and the stored quality is pinned to 50 so
-  /// two registrations of the same computation share one digest (batches,
-  /// caches). Returns the published version.
+  /// two registrations of the same computation share one digest (and so
+  /// result-cache entries). Returns the published version.
   Result<std::uint64_t> put(const std::string& name, const EncodeOptions& base,
                             std::size_t quota_bytes = 0);
 

@@ -48,11 +48,6 @@ class ServiceOptions {
     reject_when_full_ = on;
     return *this;
   }
-  /// Largest micro-batch a worker drains per pop (1 disables batching).
-  ServiceOptions& max_batch(int n) {
-    max_batch_ = n;
-    return *this;
-  }
   /// Result-cache entries (0 disables the result cache).
   ServiceOptions& result_cache(std::size_t entries) {
     result_cache_ = entries;
@@ -63,16 +58,12 @@ class ServiceOptions {
     cache_max_bytes_ = bytes;
     return *this;
   }
-  /// Per-tenant result-cache byte quota (0 = none): an over-quota tenant
-  /// evicts its own least-recently-used entries, never other tenants'.
+  /// Per-tenant result-cache byte quota (0 = none), one cap for every
+  /// tenant: an over-quota tenant evicts its own least-recently-used
+  /// entries, never other tenants'. The only per-tenant quota enforced —
+  /// Registry::put's quota_bytes is recorded, not enforced.
   ServiceOptions& tenant_quota_bytes(std::size_t bytes) {
     tenant_quota_bytes_ = bytes;
-    return *this;
-  }
-  /// Scaled-table cache entries for deepn_encode, in total across workers
-  /// (0 disables).
-  ServiceOptions& table_cache(std::size_t entries) {
-    table_cache_ = entries;
     return *this;
   }
   /// The tenant registry deepn_encode resolves names against. Omitted =
@@ -105,11 +96,9 @@ class ServiceOptions {
   int workers() const { return workers_; }
   std::size_t queue_capacity() const { return queue_capacity_; }
   bool reject_when_full() const { return reject_when_full_; }
-  int max_batch() const { return max_batch_; }
   std::size_t result_cache() const { return result_cache_; }
   std::size_t cache_max_bytes() const { return cache_max_bytes_; }
   std::size_t tenant_quota_bytes() const { return tenant_quota_bytes_; }
-  std::size_t table_cache() const { return table_cache_; }
   const std::optional<Registry>& registry() const { return registry_; }
   int design_workers() const { return design_workers_; }
   std::size_t design_queue() const { return design_queue_; }
@@ -119,11 +108,9 @@ class ServiceOptions {
   int workers_ = 2;
   std::size_t queue_capacity_ = 256;
   bool reject_when_full_ = false;
-  int max_batch_ = 8;
   std::size_t result_cache_ = 256;
   std::size_t cache_max_bytes_ = 0;
   std::size_t tenant_quota_bytes_ = 0;
-  std::size_t table_cache_ = 16;
   std::optional<Registry> registry_;
   int design_workers_ = 1;
   std::size_t design_queue_ = 8;
@@ -176,7 +163,6 @@ struct ServiceReply {
   std::vector<std::uint8_t> bytes;  ///< encode / transcode result
   DecodedImage image;               ///< decode result
   bool cache_hit = false;
-  int batch_size = 0;       ///< size of the micro-batch this rode in
   double queue_us = 0.0;    ///< submission -> worker pickup
   double service_us = 0.0;  ///< worker pickup -> completion
 };
@@ -212,7 +198,6 @@ struct TenantMetrics {
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t table_cache_hits = 0;
   double service_p50_us = 0.0;
   double service_p99_us = 0.0;
 };
@@ -227,9 +212,6 @@ struct ServiceMetrics {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_bytes = 0;            ///< recorded result-cache payload total
   std::uint64_t cache_quota_evictions = 0;  ///< evictions forced by tenant quotas
-  std::uint64_t table_cache_hits = 0;       ///< scaled-table LRU hits
-  std::uint64_t batches = 0;
-  std::uint64_t max_batch = 0;
   double total_p50_us = 0.0;
   double total_p95_us = 0.0;
   double total_p99_us = 0.0;

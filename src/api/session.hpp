@@ -42,7 +42,8 @@ class TableDesigner;
 /// Version of the C++ façade surface, bumped on incompatible change.
 /// (The C ABI is versioned separately: dnj_c.h / dnj_abi_version().)
 inline constexpr std::uint32_t kApiVersionMajor = 1;
-inline constexpr std::uint32_t kApiVersionMinor = 4;  ///< 1.4: async design jobs (submit/poll/cancel)
+inline constexpr std::uint32_t kApiVersionMinor = 5;  ///< 1.5: C++ façade removals; C ABI unchanged
+                                                      ///  1.4: async design jobs (submit/poll/cancel)
                                                       ///  1.3: metrics_text + trace dump
                                                       ///  1.2: Registry + deepn_encode + dnj_registry_*
 

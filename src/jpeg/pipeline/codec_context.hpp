@@ -83,8 +83,8 @@ class CodecContext {
   /// How often the lazily-cached state above was actually (re)built. A warm
   /// context encoding a same-config stream sits at one build each; every
   /// additional rebuild is a cache miss caused by interleaved configs. The
-  /// serving layer reports these per worker — they are the direct measure
-  /// of how well micro-batching keeps contexts warm.
+  /// serving layer reports them per request and per tenant — the direct
+  /// measure of how warm its workers' contexts stay.
   struct ReuseCounters {
     std::uint64_t huffman_builds = 0;
     std::uint64_t reciprocal_builds = 0;

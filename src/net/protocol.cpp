@@ -375,12 +375,14 @@ Frame make_response(std::uint32_t request_id, Op op, std::uint64_t config_digest
   f.request_id = request_id;
   f.config_digest = config_digest;
   // Observability block (24 bytes, fixed): scheduling facts only — the
-  // determinism contract starts at the byte after this block.
+  // determinism contract starts at the byte after this block. The u32 at
+  // offset 4 is the batch_size slot: always 1, since every request is
+  // served on its own, and kept so the block's layout stays fixed.
   append_u8(f.payload, resp.cache_hit ? 1 : 0);
   append_u8(f.payload, 0);
   append_u8(f.payload, 0);
   append_u8(f.payload, 0);
-  append_u32(f.payload, static_cast<std::uint32_t>(resp.batch_size));
+  append_u32(f.payload, 1);
   append_f64(f.payload, resp.queue_us);
   append_f64(f.payload, resp.service_us);
   switch (op) {
@@ -440,8 +442,7 @@ bool parse_response(const Frame& frame, WireReply* out) {
   if (frame.op != Op::kPing && frame.op != Op::kStats && !op_is_job(frame.op)) {
     const std::uint8_t* obs;
     if (!c.take(kObservabilitySize, &obs)) return false;
-    r.cache_hit = obs[0] != 0;
-    r.batch_size = read_u32(obs + 4);
+    r.cache_hit = obs[0] != 0;  // obs + 4: the constant batch_size slot
     r.queue_us = read_f64(obs + 8);
     r.service_us = read_f64(obs + 16);
   }

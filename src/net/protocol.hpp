@@ -5,7 +5,7 @@
 // The full payload formats live in docs/PROTOCOL.md; in short, request
 // payloads are the op-specific concatenation of three documented blocks
 // (options, image, raw stream), and OK response payloads start with a
-// fixed 24-byte observability block (cache/batch/latency — never part of
+// fixed 24-byte observability block (cache/latency — never part of
 // the determinism contract) followed by the op's result. Error responses
 // carry a UTF-8 message instead.
 //
@@ -105,7 +105,6 @@ struct WireReply {
   jobs::JobResult job_result;       ///< job-result result
 
   bool cache_hit = false;
-  std::uint32_t batch_size = 0;
   double queue_us = 0.0;
   double service_us = 0.0;
 };

@@ -619,7 +619,7 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
 
   // Observability: maybe open a sampled trace for this request. The ids
   // ride on the Request (never digested, never serialized) so queue-wait,
-  // batch and codec spans nest under this root; drain_completions records
+  // service and codec spans nest under this root; drain_completions records
   // net_write and closes the root when the bytes are handed to the socket.
   std::uint64_t trace_id = 0;
   std::uint32_t trace_root = 0;

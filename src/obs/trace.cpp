@@ -38,7 +38,7 @@ const char* stage_name(Stage stage) {
     case Stage::kNetParse: return "net_parse";
     case Stage::kNetWrite: return "net_write";
     case Stage::kQueueWait: return "queue_wait";
-    case Stage::kBatch: return "batch";
+    case Stage::kService: return "service";
     case Stage::kCacheProbe: return "cache_probe";
     case Stage::kEncodeTile: return "encode_tile";
     case Stage::kEncodeDct: return "encode_dct";

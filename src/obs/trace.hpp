@@ -26,7 +26,7 @@
 namespace dnj::obs {
 
 /// Pipeline stages a span can label. Codec stages are recorded per
-/// component batch; net stages by the event loop; queue/batch stages by
+/// component batch; net stages by the event loop; queue/service stages by
 /// the serve workers.
 enum class Stage : std::uint8_t {
   kRequest = 0,        // whole-request root span
@@ -34,7 +34,7 @@ enum class Stage : std::uint8_t {
   kNetParse,           // frame decode + request validation
   kNetWrite,           // response serialization hand-off to the socket
   kQueueWait,          // enqueue -> picked up by a worker
-  kBatch,              // worker-side batch execution (tag = batch size)
+  kService,            // worker-side execution of one request
   kCacheProbe,         // result-cache digest + lookup
   kEncodeTile,         // color convert + tile into block planes
   kEncodeDct,          // forward DCT batch

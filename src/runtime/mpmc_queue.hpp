@@ -25,7 +25,6 @@
 #include <deque>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 namespace dnj::runtime {
 
@@ -75,27 +74,6 @@ class MpmcQueue {
     lock.unlock();
     not_full_.notify_one();
     return true;
-  }
-
-  /// Non-blocking conditional drain: moves queue heads into `out` while the
-  /// head satisfies `pred` and fewer than `max` items have been taken.
-  /// Stops at the first non-matching head (FIFO is preserved — items are
-  /// never skipped over). This is the micro-batching primitive: a worker
-  /// that just popped a request collects immediately-available compatible
-  /// followers without waiting. Returns the number of items taken.
-  template <typename Pred>
-  std::size_t pop_while(Pred pred, std::size_t max, std::vector<T>& out) {
-    std::size_t taken = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      while (taken < max && !items_.empty() && pred(items_.front())) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-        ++taken;
-      }
-    }
-    if (taken > 0) not_full_.notify_all();
-    return taken;
   }
 
   /// Closes the queue: subsequent pushes fail, blocked pushers wake and

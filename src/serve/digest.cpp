@@ -43,7 +43,7 @@ std::uint64_t digest_config(const jpeg::EncoderConfig& config, std::uint64_t see
   // of hand-listing fields here. A field added to EncoderConfig is added
   // to append_config_bytes once and every derived digest follows. The
   // scratch buffer is thread-local because this runs on the submission
-  // hot path (cache keys, batch compatibility) — zero allocations once
+  // hot path (cache keys) — zero allocations once
   // warm, like the chained-FNV implementation it replaced.
   static thread_local std::vector<std::uint8_t> scratch;
   scratch.clear();

@@ -1,4 +1,4 @@
-// Content digests for the serving layer's caches and batching decisions.
+// Content digests for the serving layer's result cache.
 //
 // FNV-1a over explicit field serializations: fast, allocation-free, and
 // stable for the life of a process (cache keys never leave the process).
@@ -53,13 +53,12 @@ struct CacheKeyHash {
   }
 };
 
-/// The key under which a request's result is cached and against which
-/// micro-batch compatibility is decided (equal `config` halves = the same
-/// tables/settings, so a warm context stays warm across the batch).
+/// The key under which a request's result is cached (equal `config`
+/// halves = the same tables/settings).
 CacheKey request_key(const Request& req);
 
 /// The config half of request_key alone — all the submission path needs
-/// (batching compatibility and admission never look at the input half).
+/// (admission never looks at the input half).
 /// O(1) in the payload size, so rejecting under overload stays O(1).
 /// For kDeepnEncode this mixes the tenant *name*; the serving layer, which
 /// can resolve the name against its registry, keys on the resolved table
@@ -69,9 +68,9 @@ std::uint64_t request_config_digest(const Request& req);
 
 /// Config digest of a DeepN-quality encode: the digest of the base table
 /// pair (service-wide or a tenant's TenantEntry::base_digest) folded with
-/// the clamped quality. This is the digest the service batches and caches
-/// kDeepnEncode requests on — pure content, no names, no
-/// registry versions, so equal computations share warmth everywhere.
+/// the clamped quality. This is the digest the service caches kDeepnEncode
+/// results on — pure content, no names, no registry versions, so equal
+/// computations share cache entries everywhere.
 std::uint64_t deepn_config_digest(std::uint64_t tables_digest, int quality);
 
 /// The input half of request_key alone: the (kind-seeded) digest of the

@@ -13,11 +13,10 @@
 // monotonic counter, and find() hands that shared_ptr out. An in-flight
 // request pins the snapshot it resolved at submission — a concurrent
 // re-registration can never mutate tables under a request half-way through
-// an encode, and two responses from one submission batch can never mix
-// table generations. The version number is observability (which generation
+// an encode. The version number is observability (which generation
 // served this?), deliberately NOT part of the config digest: digests key on
-// *content*, so re-registering identical tables keeps caches warm and two
-// tenants with identical configs share batches and cache entries.
+// *content*, so re-registering identical tables keeps the result cache
+// warm and two tenants with identical configs share cache entries.
 #pragma once
 
 #include <cstddef>
@@ -43,15 +42,17 @@ struct TenantEntry {
   /// pair (so request quality then behaves exactly like standard IJG
   /// quality), and `quality` is normalized to 50 — it plays no part in a
   /// custom-table encode, and normalizing it lets two registrations of the
-  /// same computation share one digest (batches, caches).
+  /// same computation share one digest (and so result-cache entries).
   jpeg::EncoderConfig base;
 
   /// digest_config(base): the content key everything downstream derives
-  /// from — batch compatibility, result- and table-LRU keys.
+  /// from — the result-cache key of this tenant's requests.
   std::uint64_t base_digest = 0;
 
-  /// Result-cache byte budget for this tenant (0 = no per-tenant cap; the
-  /// cache-wide limits still apply). Enforced by serve::LruCache.
+  /// The tenant's requested result-cache byte quota (0 = none). Recorded
+  /// and reported only: the service never reads it. The per-tenant cap the
+  /// result cache enforces is ServiceConfig::tenant_quota_bytes, one value
+  /// for every tenant.
   std::size_t quota_bytes = 0;
 };
 
@@ -65,7 +66,8 @@ class TableRegistry {
   TableRegistry& operator=(const TableRegistry&) = delete;
 
   /// Creates or replaces `name`, returning the published version. `base`
-  /// is normalized as documented on TenantEntry::base.
+  /// is normalized as documented on TenantEntry::base; `quota_bytes` is
+  /// recorded, not enforced (see TenantEntry::quota_bytes).
   std::uint64_t put(const std::string& name, jpeg::EncoderConfig base,
                     std::size_t quota_bytes = 0);
 

@@ -7,9 +7,9 @@
 //
 // The serving determinism contract: a Response's payload (bytes, image
 // pixels, probs) is bit-identical to the equivalent synchronous
-// single-threaded call, regardless of worker count, micro-batching
-// decisions, cache hits, or arrival order. Only the observability fields
-// (cache_hit, batch_size, latencies) depend on scheduling.
+// single-threaded call, regardless of worker count, cache hits, or arrival
+// order. Only the observability fields (cache_hit, latencies) depend on
+// scheduling.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +74,6 @@ struct Response {
 
   // Observability — never part of the determinism contract.
   bool cache_hit = false;
-  int batch_size = 0;       ///< size of the micro-batch this request rode in
   double queue_us = 0.0;    ///< submission -> worker pickup
   double service_us = 0.0;  ///< worker pickup -> completion
 };

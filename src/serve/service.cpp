@@ -68,11 +68,9 @@ TranscodeService::TranscodeService(ServiceConfig config)
     : config_(std::move(config)),
       metrics_(std::make_shared<obs::Registry>()),
       result_cache_(config_.cache_capacity, config_.cache_max_bytes,
-                    config_.tenant_quota_bytes),
-      table_cache_(config_.table_cache_capacity) {
+                    config_.tenant_quota_bytes) {
   config_.workers = std::max(1, config_.workers);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
-  config_.max_batch = std::max(1, config_.max_batch);
   if (!config_.registry) config_.registry = std::make_shared<TableRegistry>();
   obs::Registry& m = *metrics_;
   submitted_ = &m.counter("serve_requests_submitted_total");
@@ -84,8 +82,6 @@ TranscodeService::TranscodeService(ServiceConfig config)
   for (int k = 0; k < kNumRequestKinds; ++k)
     per_kind_[k] = &m.counter("serve_requests_by_kind_total",
                               {{"kind", kind_name(static_cast<RequestKind>(k))}});
-  batches_ = &m.counter("serve_batches_total");
-  batched_requests_ = &m.counter("serve_batched_requests_total");
   ctx_ = {&m.counter("serve_ctx_huffman_builds_total"),
           &m.counter("serve_ctx_reciprocal_builds_total"),
           &m.counter("serve_ctx_quality_table_builds_total"),
@@ -108,7 +104,7 @@ TranscodeService::TranscodeService(ServiceConfig config)
   workers_ = std::make_unique<runtime::ThreadPool>(static_cast<unsigned>(config_.workers));
   for (int w = 0; w < config_.workers; ++w) workers_->submit([this] { pump(); });
 
-  // Registered last: the collector reads the caches and the queue.
+  // Registered last: the collector reads the result cache and the queue.
   // remove_collector in the destructor blocks until any in-flight gather()
   // returns, so the captured `this` can never dangle even when the
   // registry shared_ptr outlives this service.
@@ -146,7 +142,7 @@ void TranscodeService::submit_job(Job job) {
   submitted_->inc();
   // Adopt the front end's trace, or open one here for in-process callers.
   // Pure observability: the sampling decision never feeds into admission
-  // or batching.
+  // or execution.
   job.trace_id = job.req.trace_id;
   job.trace_parent = job.req.trace_parent;
   if (job.trace_id == 0) {
@@ -160,15 +156,15 @@ void TranscodeService::submit_job(Job job) {
     }
   }
   job.cacheable = cacheable(job.req.kind) && result_cache_.enabled();
-  // Only the config half of the key here: admission and batching never
-  // read the input half, and hashing the payload on the submission
+  // Only the config half of the key here: admission never reads the
+  // input half, and hashing the payload on the submission
   // path would make rejection under overload O(payload). Workers derive
   // the input half lazily when a cache lookup actually happens.
   if (job.req.kind == RequestKind::kDeepnEncode) {
     // Resolve the tenant now — pinning the snapshot at submission is the
     // registry's consistency contract — and digest by resolved CONTENT, so
     // two tenants (or registry generations) with identical tables share
-    // batches and cache entries.
+    // cache entries.
     std::uint64_t tables_digest = deepn_tables_digest_;
     if (!job.req.tenant.empty()) {
       job.tenant = config_.registry->find(job.req.tenant);
@@ -229,22 +225,8 @@ void TranscodeService::refuse(Job&& job, Status status, std::string why) {
 }
 
 void TranscodeService::pump() {
-  std::vector<Job> batch;
-  Job first;
-  while (queue_->pop(first)) {
-    batch.clear();
-    batch.push_back(std::move(first));
-    if (config_.max_batch > 1) {
-      const RequestKind kind = batch[0].req.kind;
-      const std::uint64_t cfg = batch[0].key.config;
-      queue_->pop_while(
-          [kind, cfg](const Job& j) {
-            return j.req.kind == kind && j.key.config == cfg;
-          },
-          static_cast<std::size_t>(config_.max_batch) - 1, batch);
-    }
-    process_batch(batch);
-  }
+  Job job;
+  while (queue_->pop(job)) process(job);
 }
 
 TranscodeService::TenantInstruments& TranscodeService::tenant_instruments(
@@ -259,8 +241,6 @@ TranscodeService::TenantInstruments& TranscodeService::tenant_instruments(
   t.completed = &m.counter("serve_tenant_completed_total", l);
   t.errors = &m.counter("serve_tenant_errors_total", l);
   t.cache_hits = &m.counter("serve_tenant_cache_hits_total", l);
-  t.table_hits = &m.counter("serve_tenant_table_cache_hits_total", l);
-  t.table_misses = &m.counter("serve_tenant_table_cache_misses_total", l);
   t.ctx = {&m.counter("serve_tenant_ctx_huffman_builds_total", l),
            &m.counter("serve_tenant_ctx_reciprocal_builds_total", l),
            &m.counter("serve_tenant_ctx_quality_table_builds_total", l),
@@ -270,85 +250,55 @@ TranscodeService::TenantInstruments& TranscodeService::tenant_instruments(
   return tenants_.emplace(name, t).first->second;
 }
 
-void TranscodeService::process_batch(std::vector<Job>& batch) {
-  // Stats-ordering contract: by the time a future is fulfilled, its batch
-  // and its own lifecycle counters/latencies are visible to stats(). Hence
-  // batch-level counters go in at assembly, per-request counters right
-  // before each fulfill. Context-warmth deltas are only knowable after the
-  // batch ran; they settle when the batch finishes (final once shutdown()
-  // returned).
-  batches_->inc();
-  if (batch.size() > 1) batched_requests_->inc(batch.size());
-  std::uint64_t seen = max_batch_.load(std::memory_order_relaxed);
-  while (seen < batch.size() &&
-         !max_batch_.compare_exchange_weak(seen, batch.size(),
-                                           std::memory_order_relaxed)) {
-  }
-
-  // The pump thread's context persists across batches; counters are read
-  // before/after so the stats report rebuilds attributable to this batch.
-  const jpeg::pipeline::CodecContext::ReuseCounters before =
-      jpeg::pipeline::thread_codec_context().reuse_counters();
-
-  TenantInstruments* head_tenant = nullptr;
-  for (Job& job : batch) {
-    const Clock::time_point picked = Clock::now();
-    // Install the job's trace for this thread: codec-internal spans attach
-    // under it without any id plumbing through run(). The queue-wait span
-    // started on the submitting thread, so it is recorded with explicit
-    // endpoints rather than RAII.
-    obs::TraceScope trace(job.trace_id, job.trace_parent);
-    obs::record_span(job.trace_id, job.trace_parent, obs::Stage::kQueueWait,
-                     to_trace_ns(job.enqueue), to_trace_ns(picked));
-    Response resp;
-    RunInfo info;
-    {
-      obs::Span batch_span(obs::Stage::kBatch,
-                           static_cast<std::uint64_t>(batch.size()));
-      bool hit = false;
-      if (job.cacheable) {
-        obs::Span probe(obs::Stage::kCacheProbe);
-        job.key.input = request_input_digest(job.req);
-        hit = result_cache_.get(job.key, &resp.bytes);
-      }
-      if (hit) {
-        resp.cache_hit = true;
-      } else {
-        resp = run(job.req, job.tenant.get(), &info);
-        if (job.cacheable && resp.status == Status::kOk)
-          result_cache_.put(job.key, resp.bytes, resp.bytes.size(), job.tenant_hash);
-      }
+void TranscodeService::process(Job& job) {
+  // Stats-ordering contract: every counter this request moves, its
+  // context-rebuild deltas included, is bumped before its future is
+  // fulfilled.
+  const Clock::time_point picked = Clock::now();
+  // Install the job's trace for this thread: codec-internal spans attach
+  // under it without any id plumbing through run(). The queue-wait span
+  // started on the submitting thread, so it is recorded with explicit
+  // endpoints rather than RAII.
+  obs::TraceScope trace(job.trace_id, job.trace_parent);
+  obs::record_span(job.trace_id, job.trace_parent, obs::Stage::kQueueWait,
+                   to_trace_ns(job.enqueue), to_trace_ns(picked));
+  // The pump thread's context persists across requests; its counters read
+  // before and after give exactly the rebuilds this request caused.
+  jpeg::pipeline::CodecContext& ctx = jpeg::pipeline::thread_codec_context();
+  const jpeg::pipeline::CodecContext::ReuseCounters before = ctx.reuse_counters();
+  Response resp;
+  {
+    obs::Span service_span(obs::Stage::kService);
+    bool hit = false;
+    if (job.cacheable) {
+      obs::Span probe(obs::Stage::kCacheProbe);
+      job.key.input = request_input_digest(job.req);
+      hit = result_cache_.get(job.key, &resp.bytes);
     }
-    const Clock::time_point done = Clock::now();
-    // In-process submissions have no front end to close the root span;
-    // the service owns the trace and records the root here.
-    if (job.trace_owned)
-      obs::record_span_as(job.trace_id, job.trace_parent, 0, obs::Stage::kRequest,
-                          to_trace_ns(job.enqueue), to_trace_ns(done),
-                          static_cast<std::uint64_t>(job.req.kind));
-    resp.batch_size = static_cast<int>(batch.size());
-    resp.queue_us = us_between(job.enqueue, picked);
-    resp.service_us = us_between(picked, done);
-    const bool ok = resp.status == Status::kOk;
-    queue_wait_->observe(resp.queue_us);
-    service_time_->observe(resp.service_us);
-    total_->observe(us_between(job.enqueue, done));
-    per_kind_[static_cast<int>(job.req.kind)]->inc();
-    (ok ? completed_ : errors_)->inc();
-    if (job.tenant) {
-      TenantInstruments& t = tenant_instruments(job.tenant->name);
-      if (&job == &batch.front()) head_tenant = &t;
-      t.requests->inc();
-      (ok ? t.completed : t.errors)->inc();
-      if (resp.cache_hit) t.cache_hits->inc();
-      if (info.table_lookup) (info.table_hit ? t.table_hits : t.table_misses)->inc();
-      t.service_time->observe(resp.service_us);
+    if (hit) {
+      resp.cache_hit = true;
+    } else {
+      resp = run(job.req, job.tenant.get());
+      if (job.cacheable && resp.status == Status::kOk)
+        result_cache_.put(job.key, resp.bytes, resp.bytes.size(), job.tenant_hash);
     }
-    fulfill(std::move(job), std::move(resp));
   }
-
-  const jpeg::pipeline::CodecContext::ReuseCounters after =
-      jpeg::pipeline::thread_codec_context().reuse_counters();
+  const Clock::time_point done = Clock::now();
+  const jpeg::pipeline::CodecContext::ReuseCounters after = ctx.reuse_counters();
+  // In-process submissions have no front end to close the root span;
+  // the service owns the trace and records the root here.
+  if (job.trace_owned)
+    obs::record_span_as(job.trace_id, job.trace_parent, 0, obs::Stage::kRequest,
+                        to_trace_ns(job.enqueue), to_trace_ns(done),
+                        static_cast<std::uint64_t>(job.req.kind));
+  resp.queue_us = us_between(job.enqueue, picked);
+  resp.service_us = us_between(picked, done);
+  const bool ok = resp.status == Status::kOk;
+  queue_wait_->observe(resp.queue_us);
+  service_time_->observe(resp.service_us);
+  total_->observe(us_between(job.enqueue, done));
+  per_kind_[static_cast<int>(job.req.kind)]->inc();
+  (ok ? completed_ : errors_)->inc();
   auto add_delta = [&before, &after](const CtxCounters& c) {
     c.huffman->inc(after.huffman_builds - before.huffman_builds);
     c.reciprocal->inc(after.reciprocal_builds - before.reciprocal_builds);
@@ -356,11 +306,15 @@ void TranscodeService::process_batch(std::vector<Job>& batch) {
     c.decoder->inc(after.huffman_decoder_builds - before.huffman_decoder_builds);
   };
   add_delta(ctx_);
-  // Context rebuilds are measurable only per batch; a batch is digest-pure,
-  // so attributing its delta to the head request's tenant is exact whenever
-  // the batch is single-tenant and the head's cache hits hide no rebuild —
-  // close enough for a warmth signal, and documented as batch-granular.
-  if (head_tenant) add_delta(head_tenant->ctx);
+  if (job.tenant) {
+    TenantInstruments& t = tenant_instruments(job.tenant->name);
+    t.requests->inc();
+    (ok ? t.completed : t.errors)->inc();
+    if (resp.cache_hit) t.cache_hits->inc();
+    add_delta(t.ctx);
+    t.service_time->observe(resp.service_us);
+  }
+  fulfill(std::move(job), std::move(resp));
 }
 
 namespace {
@@ -379,8 +333,7 @@ bool fold_status(const api::Status& status, Response& r) {
 
 }  // namespace
 
-Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
-                               RunInfo* info) {
+Response TranscodeService::run(const Request& req, const TenantEntry* tenant) {
   // The codec request kinds run through the public façade (dnj::api) —
   // the service is the façade's first in-tree consumer, so the boundary
   // contract (typed statuses in, bit-identical payloads out) is exercised
@@ -421,8 +374,7 @@ Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
       case RequestKind::kDeepnEncode: {
         api::Result<std::vector<std::uint8_t>> res = codec.encode(
             req.image.view(),
-            api::detail::from_config(
-                deepn_config(req.quality, tenant, info)));
+            api::detail::from_config(deepn_config(req.quality, tenant)));
         if (fold_status(res.status(), r)) r.bytes = res.take();
         break;
       }
@@ -456,31 +408,12 @@ Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
 }
 
 jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
-                                                   const TenantEntry* tenant,
-                                                   RunInfo* info) {
+                                                   const TenantEntry* tenant) const {
   quality = std::clamp(quality, 1, 100);
   const jpeg::QuantTable& base_luma =
       tenant ? tenant->base.luma_table : config_.deepn_luma;
   const jpeg::QuantTable& base_chroma =
       tenant ? tenant->base.chroma_table : config_.deepn_chroma;
-  const std::uint64_t tables_digest =
-      tenant ? tenant->base_digest : deepn_tables_digest_;
-
-  TablePair pair;
-  // info == nullptr = the execute() reference path: deliberately cache-free.
-  const bool cached = info != nullptr && table_cache_.enabled();
-  const CacheKey key{tables_digest, static_cast<std::uint64_t>(quality)};
-  bool hit = false;
-  if (cached) {
-    info->table_lookup = true;
-    hit = table_cache_.get(key, &pair);
-    info->table_hit = hit;
-  }
-  if (!hit) {
-    pair.luma = base_luma.scaled(quality);
-    pair.chroma = base_chroma.scaled(quality);
-    if (cached) table_cache_.put(key, pair);
-  }
 
   // A tenant's entry carries its full encoder configuration — subsampling,
   // Huffman optimization, restart interval, comment all honored; only the
@@ -490,17 +423,17 @@ jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
   if (tenant != nullptr) cfg = tenant->base;
   else cfg.subsampling = jpeg::Subsampling::k444;
   cfg.use_custom_tables = true;
-  cfg.luma_table = pair.luma;
-  cfg.chroma_table = pair.chroma;
+  cfg.luma_table = base_luma.scaled(quality);
+  cfg.chroma_table = base_chroma.scaled(quality);
   return cfg;
 }
 
 Response TranscodeService::execute(const Request& req) {
   // Reference path: same handlers, same thread-local context mechanism,
-  // but no queue, no batching, and — deliberately — no caches (the table
-  // cache included), so cache correctness is testable by comparing
-  // submit() against execute(). Tenant names resolve against the same
-  // registry, pinned for the duration of this call.
+  // but no queue and — deliberately — no result cache, so cache
+  // correctness is testable by comparing submit() against execute().
+  // Tenant names resolve against the same registry, pinned for the
+  // duration of this call.
   const TenantEntry* tenant = nullptr;
   std::shared_ptr<const TenantEntry> pin;
   if (req.kind == RequestKind::kDeepnEncode && !req.tenant.empty()) {
@@ -513,7 +446,7 @@ Response TranscodeService::execute(const Request& req) {
     }
     tenant = pin.get();
   }
-  return run(req, tenant, /*info=*/nullptr);
+  return run(req, tenant);
 }
 
 ServiceStats TranscodeService::stats() const {
@@ -529,11 +462,11 @@ ServiceStats TranscodeService::stats() const {
   s.cache_evictions = result_cache_.evictions();
   s.cache_quota_evictions = result_cache_.quota_evictions();
   s.cache_bytes = result_cache_.bytes();
-  s.table_cache_hits = table_cache_.hits();
-  s.table_cache_misses = table_cache_.misses();
-  s.batches = batches_->value();
-  s.batched_requests = batched_requests_->value();
-  s.max_batch = max_batch_.load(std::memory_order_relaxed);
+  std::uint64_t processed = 0;
+  for (std::uint64_t n : s.per_kind) processed += n;
+  // Unknown-tenant refusals count in per_kind but never reach a worker.
+  // The two counters are read at different moments, hence the clamp.
+  s.batches = processed - std::min(processed, submit_errors_->value());
   s.queue_capacity = queue_->capacity();
   s.queue_high_water = queue_->high_water();
   s.ctx_huffman_builds = ctx_.huffman->value();
@@ -553,8 +486,6 @@ ServiceStats TranscodeService::stats() const {
     ts.completed = t.completed->value();
     ts.errors = t.errors->value();
     ts.cache_hits = t.cache_hits->value();
-    ts.table_cache_hits = t.table_hits->value();
-    ts.table_cache_misses = t.table_misses->value();
     ts.ctx_huffman_builds = t.ctx.huffman->value();
     ts.ctx_reciprocal_builds = t.ctx.reciprocal->value();
     ts.ctx_quality_table_builds = t.ctx.quality_table->value();
@@ -566,7 +497,7 @@ ServiceStats TranscodeService::stats() const {
 }
 
 void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
-  // Only the values the caches, the queue and max_batch_ own; every other
+  // Only the values the result cache and the queue own; every other
   // serve_* series is a registry instrument. Nothing here touches the
   // registry, so running under its mutex cannot deadlock.
   auto emit = [&out](const char* name, std::uint64_t v, obs::SampleKind kind) {
@@ -580,9 +511,6 @@ void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
   emit("serve_result_cache_quota_evictions_total", result_cache_.quota_evictions(),
        kCounter);
   emit("serve_result_cache_bytes", result_cache_.bytes(), kGauge);
-  emit("serve_table_cache_hits_total", table_cache_.hits(), kCounter);
-  emit("serve_table_cache_misses_total", table_cache_.misses(), kCounter);
-  emit("serve_max_batch", max_batch_.load(std::memory_order_relaxed), kGauge);
   emit("serve_queue_capacity", queue_->capacity(), kGauge);
   emit("serve_queue_high_water", queue_->high_water(), kGauge);
 }

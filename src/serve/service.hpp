@@ -4,35 +4,37 @@
 //   clients ──submit()──▶ bounded MPMC queue ──▶ worker pumps
 //               │           (runtime::MpmcQueue,       │ one pump per worker, each
 //               │ admission control:  one FIFO for     │ on its own thread-local
-//               │   kBlock  — wait for space           │ CodecContext (warm arenas,
+//               │   kBlock  — wait for space           │ CodecContext (warm arenas)
 //               │   kReject — typed kRejected          ├─▶ result LRU (byte + per-tenant quota accounting)
-//               ▼            response, immediately     ├─▶ table LRU  (DeepN pair, IJG-scaled per quality)
-//        future<Response>                              └─▶ obs::Registry instruments ──view──▶ ServiceStats
+//               ▼            response, immediately     └─▶ obs::Registry instruments ──view──▶ ServiceStats
+//        future<Response>
 //
-// Scheduling: one bounded FIFO shared by every worker. After popping a
-// request, a pump drains immediately-available *compatible* followers
-// (same kind, same config digest) from the queue head up to `max_batch`
-// — micro-batching. Both caches are shared by all workers; which worker
-// runs a request never changes its bytes.
+// Scheduling: one bounded FIFO shared by every worker. A pump pops one
+// request, probes the result cache, runs it and fulfills it — every
+// request is served on its own, as DeepN-JPEG compresses each image on
+// its own. The thread-local context stays warm across consecutive
+// requests without any grouping. The result cache is shared by all
+// workers; which worker runs a request never changes its bytes.
 //
 // Multi-tenancy: a versioned TableRegistry (shared or service-private)
 // maps tenant names to base table pairs + encoder options. A kDeepnEncode
 // request naming a tenant pins that tenant's immutable snapshot at
 // submission — concurrent re-registration can never mix table generations
 // within a request — and is digested by resolved *content*, so identical
-// configurations share batches and caches across tenant names. The
-// shared result LRU enforces per-tenant byte quotas so one tenant cannot
-// evict everyone else (see LruCache).
+// configurations share result-cache entries across tenant names. The
+// shared result LRU enforces one per-tenant byte quota
+// (ServiceConfig::tenant_quota_bytes) so one tenant cannot evict
+// everyone else (see LruCache).
 //
 // Determinism contract (extends the codec/runtime contracts to serving):
 // every response payload is bit-identical to the equivalent synchronous
-// single-threaded call — execute() — regardless of worker count, batching
-// decisions, cache hits, or arrival order. This holds because every
-// handler is a pure function of the request plus the configuration
-// snapshot it pinned: contexts only carry scratch state, the caches store
-// deterministic functions of their keys, and the model is locked during
-// each forward. tests/test_serve.cpp pins the contract across worker
-// counts {1, 2, 8}, batching on/off, and cache warm/cold.
+// single-threaded call — execute() — regardless of worker count, cache
+// hits, or arrival order. This holds because every handler is a pure
+// function of the request plus the configuration snapshot it pinned:
+// contexts only carry scratch state, the cache stores deterministic
+// functions of its keys, and the model is locked during each forward.
+// tests/test_serve.cpp pins the contract across worker counts {1, 2, 8}
+// and cache warm/cold.
 //
 // Shutdown: shutdown() closes the queue (new submissions get a typed
 // kShutdown response; blocked submitters wake with the same), lets the
@@ -40,7 +42,6 @@
 // Idempotent; the destructor calls it.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -81,9 +82,6 @@ struct ServiceConfig {
 
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
 
-  /// Largest micro-batch a worker may drain per pop; 1 disables batching.
-  int max_batch = 8;
-
   /// Result-cache entries — encoded byte payloads keyed on
   /// (input digest, config digest). 0 disables the cache.
   std::size_t cache_capacity = 256;
@@ -91,18 +89,13 @@ struct ServiceConfig {
   /// Result-cache byte ceiling across all entries (0 = entry count only).
   std::size_t cache_max_bytes = 0;
 
-  /// Per-tenant result-cache byte quota (0 = none). Over-quota tenants
-  /// evict their own least-recently-used entries, never other tenants'.
-  /// A tenant whose TenantEntry carries a nonzero quota_bytes... shares
-  /// this single cache-wide per-tenant cap (the registry quota is
-  /// bookkeeping for operators; enforcement is uniform by design so the
-  /// cache needs no registry lookups on the hot path).
+  /// Per-tenant result-cache byte quota (0 = none), the same cap for
+  /// every named tenant. Over-quota tenants evict their own
+  /// least-recently-used entries, never other tenants'. This is the only
+  /// per-tenant quota the service enforces: TenantEntry::quota_bytes is
+  /// recorded and reported, never read here, so the cache needs no
+  /// registry lookup on the hot path.
   std::size_t tenant_quota_bytes = 0;
-
-  /// Scaled-table cache entries for kDeepnEncode, in total across workers
-  /// (one entry per distinct (table pair, quality)). 0 disables it (tables
-  /// are then re-scaled per request).
-  std::size_t table_cache_capacity = 16;
 
   /// The deployment's DeepN-JPEG table pair, the base that tenantless
   /// kDeepnEncode requests IJG-scale by their `quality`. Defaults to
@@ -150,7 +143,7 @@ class TranscodeService {
   void submit(Request req, Callback done);
 
   /// The synchronous reference path: runs `req` immediately on the calling
-  /// thread — no queue, no batching, no caches (tenant names still resolve
+  /// thread — no queue, no result cache (tenant names still resolve
   /// against the registry, pinned at this call). The determinism contract
   /// says submit()'s payloads equal execute()'s, bit for bit.
   Response execute(const Request& req);
@@ -160,12 +153,10 @@ class TranscodeService {
   void shutdown();
 
   /// Point-in-time view over the metrics registry's instruments (plus the
-  /// caches' and queue's own counters). Callable at any time, including
-  /// after shutdown. Ordering contract: once a request's future has been
-  /// fulfilled, that request is reflected in the lifecycle counters,
-  /// per-kind counts, batch counters, and latency histograms. Only the
-  /// context-warmth deltas settle at batch granularity (final once
-  /// shutdown() returned).
+  /// result cache's and queue's own counters). Callable at any time,
+  /// including after shutdown. Ordering contract: once a request's future
+  /// has been fulfilled, that request is reflected in every counter and
+  /// latency histogram, its context-rebuild deltas included.
   ServiceStats stats() const;
 
   const ServiceConfig& config() const { return config_; }
@@ -197,24 +188,14 @@ class TranscodeService {
     obs::Counter* completed = nullptr;
     obs::Counter* errors = nullptr;
     obs::Counter* cache_hits = nullptr;
-    obs::Counter* table_hits = nullptr;
-    obs::Counter* table_misses = nullptr;
     CtxCounters ctx;
     obs::HistogramHandle* service_time = nullptr;
   };
-  /// What run() observed that the Response does not carry (table-LRU
-  /// traffic, attributed per request/tenant by process_batch).
-  struct RunInfo {
-    bool table_lookup = false;
-    bool table_hit = false;
-  };
   void pump();
-  void process_batch(std::vector<Job>& batch);
+  void process(Job& job);
   TenantInstruments& tenant_instruments(const std::string& name);
-  /// `info` null = the execute() reference path, which bypasses the table cache.
-  Response run(const Request& req, const TenantEntry* tenant, RunInfo* info);
-  jpeg::EncoderConfig deepn_config(int quality, const TenantEntry* tenant,
-                                   RunInfo* info);
+  Response run(const Request& req, const TenantEntry* tenant);
+  jpeg::EncoderConfig deepn_config(int quality, const TenantEntry* tenant) const;
   void collect_metrics(std::vector<obs::Sample>& out) const;
   void submit_job(Job job);
   static void fulfill(Job&& job, Response&& resp);
@@ -228,12 +209,6 @@ class TranscodeService {
   std::mutex shutdown_mutex_;
 
   LruCache<CacheKey, std::vector<std::uint8_t>, CacheKeyHash> result_cache_;
-  struct TablePair {
-    jpeg::QuantTable luma, chroma;
-  };
-  /// Scaled DeepN table pairs keyed on (base tables digest, quality),
-  /// shared by every worker like the result cache.
-  LruCache<CacheKey, TablePair, CacheKeyHash> table_cache_;
 
   std::mutex model_mutex_;
 
@@ -248,13 +223,10 @@ class TranscodeService {
   obs::Counter* completed_ = nullptr;
   obs::Counter* errors_ = nullptr;
   obs::Counter* per_kind_[kNumRequestKinds] = {};
-  obs::Counter* batches_ = nullptr;
-  obs::Counter* batched_requests_ = nullptr;
   CtxCounters ctx_;
   obs::HistogramHandle* queue_wait_ = nullptr;
   obs::HistogramHandle* service_time_ = nullptr;
   obs::HistogramHandle* total_ = nullptr;
-  std::atomic<std::uint64_t> max_batch_{0};
   /// Sorted by name, so stats() lists tenants in order for free.
   mutable std::mutex tenants_mutex_;
   std::map<std::string, TenantInstruments> tenants_;

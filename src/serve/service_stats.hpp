@@ -3,7 +3,7 @@
 // ServiceStats is a read-only view: every field is read back from the
 // service's obs::Registry instruments (workers bump Counters and observe
 // HistogramHandles as they go) or from the structure that owns the value
-// (the result/table LRUs, the submission queue). The same instruments
+// (the result LRU, the submission queue). The same instruments
 // are what a scrape renders, so stats() and the exporters cannot
 // disagree. Quantiles are the histograms' interpolated streaming
 // quantiles.
@@ -50,9 +50,9 @@ struct TenantStats {
   std::uint64_t requests = 0;   ///< processed = completed + errors
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;         ///< result-cache hits
-  std::uint64_t table_cache_hits = 0;   ///< scaled-table LRU hits
-  std::uint64_t table_cache_misses = 0;
+  std::uint64_t cache_hits = 0;  ///< result-cache hits
+  // This tenant's share of the service-wide context-rebuild counters
+  // (exact: each request's delta goes to its own tenant).
   std::uint64_t ctx_huffman_builds = 0;
   std::uint64_t ctx_reciprocal_builds = 0;
   std::uint64_t ctx_quality_table_builds = 0;
@@ -62,8 +62,7 @@ struct TenantStats {
 
 /// Point-in-time snapshot of a service's counters and latency quantiles.
 /// Responses' payloads are deterministic; this snapshot is the one place
-/// where scheduling (timing, batching luck, cache state) is allowed to
-/// show.
+/// where scheduling (timing, cache state) is allowed to show.
 struct ServiceStats {
   // Request lifecycle.
   std::uint64_t submitted = 0;
@@ -81,14 +80,15 @@ struct ServiceStats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_quota_evictions = 0;
   std::uint64_t cache_bytes = 0;
-  // Scaled-table LRU (one, shared by every worker).
+  /// Always 0: the service keeps no scaled-table cache. Kept for existing
+  /// readers of this struct.
   std::uint64_t table_cache_hits = 0;
-  std::uint64_t table_cache_misses = 0;
 
-  // Micro-batching.
-  std::uint64_t batches = 0;           ///< pump iterations (>= 1 request each)
-  std::uint64_t batched_requests = 0;  ///< requests that shared a batch (size > 1)
-  std::uint64_t max_batch = 0;         ///< largest batch observed
+  /// Requests the workers processed (sum of per_kind minus the
+  /// unknown-tenant refusals made at submission). Each request is served
+  /// on its own, so this is also the number of pump iterations. Kept for
+  /// existing readers of this struct.
+  std::uint64_t batches = 0;
 
   // Queue pressure.
   std::uint64_t queue_capacity = 0;
@@ -98,8 +98,8 @@ struct ServiceStats {
   std::uint64_t steals = 0;
 
   // Context warmth (jpeg::pipeline::CodecContext::ReuseCounters deltas,
-  // summed over batches): rebuilds of cached per-context state. Fewer
-  // rebuilds per request = micro-batching doing its job.
+  // summed over requests): rebuilds of cached per-context state. Few
+  // rebuilds per request = consecutive requests on a worker share tables.
   std::uint64_t ctx_huffman_builds = 0;
   std::uint64_t ctx_reciprocal_builds = 0;
   std::uint64_t ctx_quality_table_builds = 0;

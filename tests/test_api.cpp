@@ -319,7 +319,7 @@ TEST(ApiService, RepliesMatchSynchronousCodec) {
   const api::EncodeOptions options = api::EncodeOptions().quality(85).chroma_420(false);
   const std::vector<std::uint8_t> stream = jpeg::encode(img, {});
 
-  api::Service service(api::ServiceOptions().workers(2).max_batch(4));
+  api::Service service(api::ServiceOptions().workers(2));
   api::Pending p_enc = service.encode(img.view(), options);
   api::Pending p_dec = service.decode(stream);
   api::Pending p_x = service.transcode(stream, options);

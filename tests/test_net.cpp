@@ -6,7 +6,7 @@
 // bit for bit — across worker counts, cache states, and both poller
 // backends. That is the serving determinism contract crossing the wire;
 // everything between the client and the codec (marshalling, framing,
-// socket fragmentation, micro-batching, caching, write-back) must be
+// socket fragmentation, caching, write-back) must be
 // payload-transparent for it to hold.
 //
 // The rest covers the connection state machine: pipelining and response
@@ -346,7 +346,6 @@ TEST(NetServer, OverloadYieldsTypedRejection) {
   cfg.workers = 1;
   cfg.queue_capacity = 1;
   cfg.admission = serve::AdmissionPolicy::kReject;
-  cfg.max_batch = 1;
   cfg.cache_capacity = 0;
   TestServer ts(std::move(cfg));
   Client client = ts.connect();
@@ -419,7 +418,6 @@ TEST(NetServer, IdleConnectionsAreClosed) {
 TEST(NetServer, GracefulDrainFlushesSubmittedWork) {
   serve::ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.max_batch = 1;
   TestServer ts(std::move(cfg));
   Client client = ts.connect();
   std::string error;
@@ -558,7 +556,6 @@ TEST(NetServer, StatsViewsEqualTheGatheredRegistry) {
 
   serve::ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.max_batch = 8;
   cfg.registry = tables;
   TestServer ts(std::move(cfg));
   Client client = ts.connect();
@@ -572,9 +569,8 @@ TEST(NetServer, StatsViewsEqualTheGatheredRegistry) {
     req.tenant = tenant;
     return req;
   };
-  // A slow request holds the only worker while eight compatible ones queue
-  // behind it: they drain as one multi-request batch, and the repeats hit
-  // the result cache.
+  // A slow request holds the only worker while eight identical encodes
+  // queue behind it; the repeats hit the result cache.
   std::vector<std::future<serve::Response>> futures;
   futures.push_back(ts.service.submit(encode_request(big_image(), 77)));
   for (int i = 0; i < 8; ++i) futures.push_back(ts.service.submit(encode_request(test_image(), 80)));
@@ -591,8 +587,7 @@ TEST(NetServer, StatsViewsEqualTheGatheredRegistry) {
   std::string text;
   ASSERT_TRUE(client.scrape(StatsFormat::kPrometheus, &text, &error)) << error;
 
-  // Quiesce both layers (context deltas settle at batch end), then read
-  // both views of the one store.
+  // Quiesce both layers, then read both views of the one store.
   ts.server.stop();
   ts.service.shutdown();
   const serve::ServiceStats st = ts.service.stats();
@@ -600,7 +595,6 @@ TEST(NetServer, StatsViewsEqualTheGatheredRegistry) {
   const std::vector<obs::Sample> g = ts.service.metrics_registry()->gather();
 
   // The workload reached every path it was built for.
-  EXPECT_GT(st.batched_requests, 0u);
   EXPECT_GT(st.cache_hits, 0u);
   EXPECT_EQ(st.errors, 1u);
   EXPECT_EQ(ns.stats_scrapes, 1u);
@@ -624,14 +618,16 @@ TEST(NetServer, StatsViewsEqualTheGatheredRegistry) {
   expect_field(st.cache_evictions, "serve_result_cache_evictions_total");
   expect_field(st.cache_quota_evictions, "serve_result_cache_quota_evictions_total");
   expect_field(st.cache_bytes, "serve_result_cache_bytes");
-  expect_field(st.table_cache_hits, "serve_table_cache_hits_total");
-  expect_field(st.table_cache_misses, "serve_table_cache_misses_total");
-  expect_field(st.batches, "serve_batches_total");
-  expect_field(st.batched_requests, "serve_batched_requests_total");
-  expect_field(st.max_batch, "serve_max_batch");
   expect_field(st.queue_capacity, "serve_queue_capacity");
   expect_field(st.queue_high_water, "serve_queue_high_water");
-  EXPECT_EQ(st.steals, 0u);  // no series: one shared queue never steals
+  // Fields kept for existing readers, with no series of their own.
+  EXPECT_EQ(st.steals, 0u);            // one shared queue never steals
+  EXPECT_EQ(st.table_cache_hits, 0u);  // no scaled-table cache
+  // Requests the workers ran: every processed one but the unknown tenant,
+  // refused at submission.
+  std::uint64_t processed = 0;
+  for (std::uint64_t n : st.per_kind) processed += n;
+  EXPECT_EQ(st.batches, processed - 1);
   expect_field(st.ctx_huffman_builds, "serve_ctx_huffman_builds_total");
   expect_field(st.ctx_reciprocal_builds, "serve_ctx_reciprocal_builds_total");
   expect_field(st.ctx_quality_table_builds, "serve_ctx_quality_table_builds_total");
@@ -650,8 +646,6 @@ TEST(NetServer, StatsViewsEqualTheGatheredRegistry) {
     expect_field(t.completed, "serve_tenant_completed_total", tl);
     expect_field(t.errors, "serve_tenant_errors_total", tl);
     expect_field(t.cache_hits, "serve_tenant_cache_hits_total", tl);
-    expect_field(t.table_cache_hits, "serve_tenant_table_cache_hits_total", tl);
-    expect_field(t.table_cache_misses, "serve_tenant_table_cache_misses_total", tl);
     expect_field(t.ctx_huffman_builds, "serve_tenant_ctx_huffman_builds_total", tl);
     expect_field(t.ctx_reciprocal_builds, "serve_tenant_ctx_reciprocal_builds_total", tl);
     expect_field(t.ctx_quality_table_builds, "serve_tenant_ctx_quality_table_builds_total",
@@ -710,14 +704,14 @@ TEST(NetServer, TracedRequestYieldsNestedSpansAcrossAllLayers) {
   }
 
   // One wire request must produce the full nested picture: net read,
-  // parse, queue wait, batch, at least two codec stages, net write, and
+  // parse, queue wait, service, at least two codec stages, net write, and
   // the request root — at least seven spans in all.
   EXPECT_GE(spans.size(), 7u);
   EXPECT_EQ(stages[obs::Stage::kRequest], 1);
   EXPECT_GE(stages[obs::Stage::kNetRead], 1);
   EXPECT_GE(stages[obs::Stage::kNetParse], 1);
   EXPECT_GE(stages[obs::Stage::kQueueWait], 1);
-  EXPECT_GE(stages[obs::Stage::kBatch], 1);
+  EXPECT_GE(stages[obs::Stage::kService], 1);
   EXPECT_GE(stages[obs::Stage::kNetWrite], 1);
   const int codec_stages = stages[obs::Stage::kEncodeTile] +
                            stages[obs::Stage::kEncodeDct] +

@@ -346,12 +346,15 @@ TEST(NetProtocol, OkResponseCarriesObservabilityAndPayload) {
   resp.status = serve::Status::kOk;
   resp.bytes = {9, 8, 7, 6};
   resp.cache_hit = true;
-  resp.batch_size = 5;
   resp.queue_us = 123.5;
   resp.service_us = 456.25;
 
   const Frame frame = make_response(77, Op::kEncode, 0xABCDu, resp);
   EXPECT_EQ(frame.config_digest, 0xABCDu);
+  // The u32 at offset 4 of the observability block is the batch_size slot,
+  // kept for layout: every request is served on its own, so it reads 1.
+  ASSERT_GE(frame.payload.size(), kObservabilitySize);
+  EXPECT_EQ(read_u32(frame.payload.data() + 4), 1u);
 
   WireReply reply;
   ASSERT_TRUE(parse_response(frame, &reply));
@@ -359,7 +362,6 @@ TEST(NetProtocol, OkResponseCarriesObservabilityAndPayload) {
   EXPECT_EQ(reply.request_id, 77u);
   EXPECT_EQ(reply.bytes, resp.bytes);
   EXPECT_TRUE(reply.cache_hit);
-  EXPECT_EQ(reply.batch_size, 5u);
   EXPECT_DOUBLE_EQ(reply.queue_us, 123.5);
   EXPECT_DOUBLE_EQ(reply.service_us, 456.25);
 }

@@ -46,7 +46,7 @@ TEST(Tracer, DisabledSamplingNeverStartsATrace) {
   // Spans on an unsampled thread are inert and record nothing.
   {
     TraceScope scope(0, 0);
-    Span span(Stage::kBatch, 7);
+    Span span(Stage::kService);
     EXPECT_FALSE(span.active());
   }
   record_span(0, 0, Stage::kQueueWait, 10, 20);
@@ -82,10 +82,10 @@ TEST(Tracer, NestedSpansParentToTheEnclosingSpan) {
   std::uint32_t outer_id = 0;
   {
     TraceScope scope(trace, root);
-    Span outer(Stage::kBatch, 3);
+    Span outer(Stage::kService);
     ASSERT_TRUE(outer.active());
     outer_id = outer.id();
-    Span inner(Stage::kEncodeDct);
+    Span inner(Stage::kEncodeEntropy, 3);
     ASSERT_TRUE(inner.active());
   }
 
@@ -96,12 +96,14 @@ TEST(Tracer, NestedSpansParentToTheEnclosingSpan) {
   });
   ASSERT_NE(outer_rec, spans.end());
   EXPECT_EQ(outer_rec->parent_id, root);
-  EXPECT_EQ(outer_rec->stage, Stage::kBatch);
-  EXPECT_EQ(outer_rec->tag, 3u);
+  EXPECT_EQ(outer_rec->stage, Stage::kService);
+  EXPECT_EQ(outer_rec->tag, 0u);
   const auto inner_rec = std::find_if(spans.begin(), spans.end(), [&](const SpanRecord& s) {
     return s.span_id != outer_id;
   });
   ASSERT_NE(inner_rec, spans.end());
+  EXPECT_EQ(inner_rec->stage, Stage::kEncodeEntropy);
+  EXPECT_EQ(inner_rec->tag, 3u);
   EXPECT_EQ(inner_rec->parent_id, outer_id);
   EXPECT_LE(outer_rec->start_ns, inner_rec->start_ns);
   EXPECT_GE(outer_rec->end_ns, inner_rec->end_ns);
@@ -134,7 +136,7 @@ TEST(Tracer, RingWrapsKeepingTheNewestRecords) {
   ASSERT_NE(trace, 0u);
   std::thread([&] {
     for (std::uint64_t i = 0; i < 200; ++i)
-      record_span(trace, 0, Stage::kBatch, i, i + 1, /*tag=*/i);
+      record_span(trace, 0, Stage::kEncodeEntropy, i, i + 1, /*tag=*/i);
   }).join();
   Tracer::instance().set_ring_capacity(4096);
 

@@ -2,16 +2,16 @@
 //
 // The load-bearing one is ByteIdenticalToSynchronousCalls: every response
 // payload must equal the equivalent synchronous single-threaded call, bit
-// for bit, across worker counts {1, 2, 8}, micro-batching on/off, and
-// cache off/warm — the serving extension of the repo-wide determinism
+// for bit, across worker counts {1, 2, 8} and cache off/warm — the
+// serving extension of the repo-wide determinism
 // contract. The expected values are computed with direct jpeg::/nn:: calls
 // (not TranscodeService::execute) so a service-side wiring bug cannot
 // cancel out of the comparison.
 //
 // ConcurrentClientsGetSynchronousPayloads extends it to several client
-// threads submitting at once: mixed forms across the worker/batch/cache
-// grid, a multi-tenant registry whose live configs outnumber the
-// scaled-table LRU, and an open burst under the reject policy.
+// threads submitting at once: mixed forms across the worker/cache grid,
+// a multi-tenant registry with 24 live configs, and an open burst under
+// the reject policy.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -172,36 +172,33 @@ TEST(TranscodeService, ByteIdenticalToSynchronousCalls) {
       mixed_workload(model.get(), deepn_luma, deepn_chroma);
 
   for (int workers : {1, 2, 8}) {
-    for (int max_batch : {1, 8}) {
-      for (std::size_t cache : {std::size_t{0}, std::size_t{128}}) {
-        ServiceConfig cfg;
-        cfg.workers = workers;
-        cfg.max_batch = max_batch;
-        cfg.cache_capacity = cache;
-        cfg.queue_capacity = 64;
-        cfg.deepn_luma = deepn_luma;
-        cfg.deepn_chroma = deepn_chroma;
-        cfg.model = model.get();
-        TranscodeService service(cfg);
+    for (std::size_t cache : {std::size_t{0}, std::size_t{128}}) {
+      ServiceConfig cfg;
+      cfg.workers = workers;
+      cfg.cache_capacity = cache;
+      cfg.queue_capacity = 64;
+      cfg.deepn_luma = deepn_luma;
+      cfg.deepn_chroma = deepn_chroma;
+      cfg.model = model.get();
+      TranscodeService service(cfg);
 
-        // Two passes over the workload: the second hits a warm cache when
-        // caching is on, and must still match the uncached expectation.
-        std::vector<std::future<Response>> futures;
-        for (int pass = 0; pass < 2; ++pass)
-          for (const Expected& e : workload) futures.push_back(service.submit(e.request));
-        for (std::size_t f = 0; f < futures.size(); ++f) {
-          const Response got = futures[f].get();
-          expect_payload_equal(got, workload[f % workload.size()].want, f);
-        }
+      // Two passes over the workload: the second hits a warm cache when
+      // caching is on, and must still match the uncached expectation.
+      std::vector<std::future<Response>> futures;
+      for (int pass = 0; pass < 2; ++pass)
+        for (const Expected& e : workload) futures.push_back(service.submit(e.request));
+      for (std::size_t f = 0; f < futures.size(); ++f) {
+        const Response got = futures[f].get();
+        expect_payload_equal(got, workload[f % workload.size()].want, f);
+      }
 
-        const ServiceStats st = service.stats();
-        EXPECT_EQ(st.submitted, futures.size());
-        EXPECT_EQ(st.completed, futures.size());
-        EXPECT_EQ(st.errors, 0u);
-        EXPECT_LE(st.queue_high_water, st.queue_capacity);
-        if (cache > 0) {
-          EXPECT_GT(st.cache_hits, 0u);
-        }
+      const ServiceStats st = service.stats();
+      EXPECT_EQ(st.submitted, futures.size());
+      EXPECT_EQ(st.completed, futures.size());
+      EXPECT_EQ(st.errors, 0u);
+      EXPECT_LE(st.queue_high_water, st.queue_capacity);
+      if (cache > 0) {
+        EXPECT_GT(st.cache_hits, 0u);
       }
     }
   }
@@ -229,15 +226,12 @@ TEST(TranscodeService, RejectPolicyReturnsTypedErrorAndBoundsQueue) {
   cfg.workers = 1;
   cfg.queue_capacity = 4;
   cfg.admission = AdmissionPolicy::kReject;
-  cfg.max_batch = 1;
   TranscodeService service(cfg);
 
   // Occupy the worker with a multi-millisecond encode, then burst-submit
   // more tiny requests than the queue can hold.
-  jpeg::EncoderConfig big_cfg = config_a();
-  big_cfg.quality = 77;  // distinct config: never batches with the burst
   std::vector<std::future<Response>> futures;
-  futures.push_back(service.submit(encode_request(big_image(), big_cfg)));
+  futures.push_back(service.submit(encode_request(big_image(), config_a())));
 
   const image::Image tiny = gray_corpus(1).samples[0].image;
   const int burst = 60;
@@ -293,7 +287,6 @@ TEST(TranscodeService, GracefulShutdownDrainsAcceptedWork) {
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 64;
-  cfg.max_batch = 4;
   TranscodeService service(cfg);
 
   std::vector<std::future<Response>> futures;
@@ -347,35 +340,6 @@ TEST(TranscodeService, HandlerExceptionsBecomeTypedErrorResponses) {
   EXPECT_EQ(st.completed, 1u);
 }
 
-TEST(TranscodeService, MicroBatchingGroupsCompatibleRequests) {
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.max_batch = 8;
-  cfg.queue_capacity = 32;
-  TranscodeService service(cfg);
-
-  // Hold the worker on a slow request, queue 8 identical-config encodes
-  // behind it; when the worker frees they are all immediately available
-  // and compatible, so they drain as one batch.
-  jpeg::EncoderConfig big_cfg = config_a();
-  big_cfg.quality = 77;
-  std::vector<std::future<Response>> futures;
-  futures.push_back(service.submit(encode_request(big_image(), big_cfg)));
-  const image::Image tiny = gray_corpus(1).samples[0].image;
-  for (int i = 0; i < 8; ++i)
-    futures.push_back(service.submit(encode_request(tiny, config_a())));
-
-  int max_reported = 0;
-  for (std::future<Response>& f : futures) {
-    const Response r = f.get();
-    ASSERT_EQ(r.status, Status::kOk);
-    max_reported = std::max(max_reported, r.batch_size);
-  }
-  EXPECT_GE(max_reported, 4);
-  EXPECT_GE(service.stats().max_batch, 4u);
-  EXPECT_GT(service.stats().batched_requests, 0u);
-}
-
 TEST(TranscodeService, WarmContextRebuildAccounting) {
   ServiceConfig cfg;
   cfg.workers = 1;
@@ -389,19 +353,19 @@ TEST(TranscodeService, WarmContextRebuildAccounting) {
   for (std::future<Response>& f : futures) ASSERT_EQ(f.get().status, Status::kOk);
 
   // A same-config stream on one worker derives each cached table set at
-  // most once — the warm-context property micro-batching protects.
+  // most once: the thread-local context stays warm from one request to
+  // the next, with no grouping of requests.
   const ServiceStats st = service.stats();
   EXPECT_LE(st.ctx_quality_table_builds, 1u);
   EXPECT_LE(st.ctx_huffman_builds, 1u);
   EXPECT_LE(st.ctx_reciprocal_builds, 2u);
 }
 
-TEST(TranscodeService, DeepnTableCacheServesScaledTables) {
+TEST(TranscodeService, DeepnEncodeServesScaledTables) {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.deepn_luma = jpeg::QuantTable::annex_k_luma();
   cfg.deepn_chroma = jpeg::QuantTable::annex_k_chroma();
-  cfg.table_cache_capacity = 4;
   TranscodeService service(cfg);
 
   const image::Image img = gray_corpus(1).samples[0].image;
@@ -423,8 +387,6 @@ TEST(TranscodeService, DeepnTableCacheServesScaledTables) {
     ASSERT_EQ(r.status, Status::kOk);
     EXPECT_EQ(r.bytes, expected);
   }
-  const ServiceStats st = service.stats();
-  EXPECT_GE(st.table_cache_hits + st.cache_hits, 1u);  // dedup via either cache
 }
 
 TEST(TranscodeService, StatsQuantilesAreCoherent) {
@@ -447,7 +409,7 @@ TEST(TranscodeService, StatsQuantilesAreCoherent) {
   EXPECT_LE(st.service_time.p50_us, st.service_time.p95_us);
   EXPECT_LE(st.service_time.p95_us, st.service_time.p99_us);
   EXPECT_GT(st.service_time.p50_us, 0.0);
-  EXPECT_GE(st.batches, 1u);
+  EXPECT_EQ(st.batches, futures.size());  // one pump iteration per request
   std::uint64_t kind_sum = 0;
   for (std::uint64_t c : st.per_kind) kind_sum += c;
   EXPECT_EQ(kind_sum, st.completed + st.errors);
@@ -592,7 +554,6 @@ TEST(TranscodeService, PerTenantStatsAreAttributed) {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.cache_capacity = 32;
-  cfg.table_cache_capacity = 8;
   cfg.registry = registry;
   TranscodeService service(cfg);
 
@@ -619,12 +580,44 @@ TEST(TranscodeService, PerTenantStatsAreAttributed) {
   EXPECT_EQ(st.tenants[0].completed, 6u);
   EXPECT_EQ(st.tenants[1].completed, 3u);
   EXPECT_EQ(st.tenants[0].errors, 0u);
-  // 6 identical cacheable requests: at least one hit somewhere (result
-  // cache after the first completes, or the table LRU on a cache miss).
-  EXPECT_GE(st.tenants[0].cache_hits + st.tenants[0].table_cache_hits, 1u);
+  // 6 identical cacheable requests on 2 workers: at most 2 miss the result
+  // cache (one in flight per worker), so at least 4 hit it.
+  EXPECT_GE(st.tenants[0].cache_hits, 4u);
   EXPECT_EQ(st.tenants[0].service_time.count, 6u);
   EXPECT_EQ(st.tenants[1].service_time.count, 3u);
   EXPECT_GT(st.cache_bytes, 0u);
+}
+
+TEST(TranscodeService, TenantContextRebuildsAddUp) {
+  auto registry = std::make_shared<TableRegistry>();
+  registry->put("alpha", tenant_base(20));
+  registry->put("beta", tenant_base(36));
+
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_capacity = 0;  // every request really encodes
+  cfg.registry = registry;
+  TranscodeService service(cfg);
+
+  // Interleaved tenants on one worker: every switch rebuilds the context's
+  // tables, and each rebuild belongs to the request that caused it.
+  const image::Image img = gray_corpus(1).samples[0].image;
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 12; ++i)
+    futures.push_back(service.submit(tenant_request(img, i % 2 ? "beta" : "alpha", 40)));
+  for (std::future<Response>& f : futures) ASSERT_EQ(f.get().status, Status::kOk);
+
+  const ServiceStats st = service.stats();
+  ASSERT_EQ(st.tenants.size(), 2u);
+  const TenantStats& a = st.tenants[0];
+  const TenantStats& b = st.tenants[1];
+  EXPECT_EQ(a.ctx_huffman_builds + b.ctx_huffman_builds, st.ctx_huffman_builds);
+  EXPECT_EQ(a.ctx_reciprocal_builds + b.ctx_reciprocal_builds, st.ctx_reciprocal_builds);
+  EXPECT_EQ(a.ctx_quality_table_builds + b.ctx_quality_table_builds,
+            st.ctx_quality_table_builds);
+  EXPECT_EQ(a.ctx_decoder_builds + b.ctx_decoder_builds, st.ctx_decoder_builds);
+  EXPECT_GE(a.ctx_reciprocal_builds, 1u);
+  EXPECT_GE(b.ctx_reciprocal_builds, 1u);
 }
 
 /// Outcome counts of one concurrent-client run.
@@ -638,7 +631,7 @@ struct ClientTally {
 /// `clients` threads share one service; client c submits forms c, c +
 /// clients, ... of `workload` (`per_client` of them, wrapping), firing all
 /// before collecting any, so submissions from every thread race through
-/// admission, batching and the caches at once.
+/// admission and the result cache at once.
 ClientTally run_clients(TranscodeService& service, const std::vector<Expected>& workload,
                         int clients, int per_client) {
   std::vector<ClientTally> tallies(static_cast<std::size_t>(clients));
@@ -686,30 +679,27 @@ TEST(TranscodeService, ConcurrentClientsGetSynchronousPayloads) {
   // (a) Mixed encode / decode / transcode / deepn forms from concurrent
   // clients, blocking admission: everything is served, byte-identical.
   for (int workers : {1, 8}) {
-    for (int max_batch : {1, 8}) {
-      for (std::size_t cache : {std::size_t{0}, std::size_t{512}}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers) +
-                     " max_batch=" + std::to_string(max_batch) +
-                     " cache=" + std::to_string(cache));
-        ServiceConfig cfg;
-        cfg.workers = workers;
-        cfg.max_batch = max_batch;
-        cfg.cache_capacity = cache;
-        cfg.queue_capacity = 64;
-        cfg.deepn_luma = deepn_luma;
-        cfg.deepn_chroma = deepn_chroma;
-        TranscodeService service(cfg);
-        const ClientTally t = run_clients(service, mixed, clients, per_client);
-        EXPECT_EQ(t.ok, static_cast<std::size_t>(clients * per_client));
-        EXPECT_EQ(t.mismatched, 0u);
-        EXPECT_EQ(t.rejected + t.other, 0u);
-      }
+    for (std::size_t cache : {std::size_t{0}, std::size_t{512}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " cache=" + std::to_string(cache));
+      ServiceConfig cfg;
+      cfg.workers = workers;
+      cfg.cache_capacity = cache;
+      cfg.queue_capacity = 64;
+      cfg.deepn_luma = deepn_luma;
+      cfg.deepn_chroma = deepn_chroma;
+      TranscodeService service(cfg);
+      const ClientTally t = run_clients(service, mixed, clients, per_client);
+      EXPECT_EQ(t.ok, static_cast<std::size_t>(clients * per_client));
+      EXPECT_EQ(t.mismatched, 0u);
+      EXPECT_EQ(t.rejected + t.other, 0u);
     }
   }
 
-  // (b) 12 tenants x 2 qualities = 24 live configs through a 6-entry
-  // scaled-table LRU: the tables are re-derived under contention, and every
-  // payload still equals jpeg::encode under the registry entry's tables.
+  // (b) 12 tenants x 2 qualities = 24 live configs interleaved across 8
+  // workers: every request scales its tenant's tables under contention,
+  // and every payload still equals jpeg::encode under the registry
+  // entry's tables.
   {
     auto registry = std::make_shared<TableRegistry>();
     const data::Dataset ds = gray_corpus(1);
@@ -729,9 +719,7 @@ TEST(TranscodeService, ConcurrentClientsGetSynchronousPayloads) {
     }
     ServiceConfig cfg;
     cfg.workers = 8;
-    cfg.max_batch = 8;
-    cfg.cache_capacity = 0;  // every request reaches the table LRU
-    cfg.table_cache_capacity = 6;
+    cfg.cache_capacity = 0;  // every request really encodes
     cfg.queue_capacity = 64;
     cfg.registry = registry;
     TranscodeService service(cfg);
@@ -743,7 +731,9 @@ TEST(TranscodeService, ConcurrentClientsGetSynchronousPayloads) {
     EXPECT_EQ(t.rejected + t.other, 0u);
     const ServiceStats st = service.stats();
     EXPECT_EQ(st.tenants.size(), 12u);
-    EXPECT_GT(st.table_cache_misses, cfg.table_cache_capacity);
+    std::uint64_t tenant_requests = 0;
+    for (const TenantStats& ts : st.tenants) tenant_requests += ts.requests;
+    EXPECT_EQ(tenant_requests, st.completed);
   }
 
   // (c) An open burst into a 16-slot queue under the reject policy: every
@@ -751,7 +741,6 @@ TEST(TranscodeService, ConcurrentClientsGetSynchronousPayloads) {
   {
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.max_batch = 8;
     cfg.queue_capacity = 16;
     cfg.admission = AdmissionPolicy::kReject;
     cfg.deepn_luma = deepn_luma;

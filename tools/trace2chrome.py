@@ -9,7 +9,7 @@ dnj_server_trace_dump): {"clock": "steady_ns", "sample_every": N,
 The output is a chrome://tracing / Perfetto-compatible event array:
 complete ("X") events with microsecond timestamps, one process per trace
 id and one thread row per tracer ring, so a request's nested stages
-(net_read -> queue_wait -> batch -> codec stages -> net_write) render as
+(net_read -> queue_wait -> service -> codec stages -> net_write) render as
 a flame graph per request.
 
 Usage:
